@@ -44,11 +44,10 @@ from .errors import (
     TooManyDegenerateReplicatesError,
     ZeroTotalError,
 )
-from .inference import EstimateReport, bootstrap_ci, compare_groups, wald_ci
+from .inference import EstimateReport, _plugin_estimate, bootstrap_ci, compare_groups, wald_ci
 from .mcor import McorScenario, curve_grid
-from .measures import discordance, phi, psi
 from .simulate import CoverageStudySpec, coverage_study
-from .tables import CountTable, from_counts, hazards, marginals
+from .tables import CountTable, from_counts  # noqa: F401 -- bench/selftest.py traces it here
 
 SCHEMA_VERSION = "1"
 
@@ -243,7 +242,7 @@ def cmd_estimate(args, argv) -> int:
         try:
             rep = wald_ci(table, args.level, measure, lam)
         except NonDifferentiableError as exc:
-            value = _bare_estimate(table, measure, lam)
+            value = _plugin_estimate(table, measure, lam)
             print(f"{measure} = {value:.6f}", file=sys.stderr)
             print(f"delta-method confidence interval refused: {exc}", file=sys.stderr)
             return 2
@@ -270,11 +269,6 @@ def cmd_estimate(args, argv) -> int:
         report = _make_report("estimate", argv, [args.table], seed, _estimate_dict(rep))
         _write_json(report, args.json)
     return 0
-
-
-def _bare_estimate(table: CountTable, measure: str, lam: float | None) -> float:
-    d = discordance(hazards(marginals(from_counts(table))))
-    return phi(d) if measure == "phi" else psi(d, lam)
 
 
 def cmd_compare(args, argv) -> int:

@@ -6,8 +6,13 @@ sqrt(n) (p_hat - p) is asymptotically normal with covariance
     xi(p) = diag(p) - p p^T.
 
 Propagating through the measure phi (or psi) with the delta method gives
+se = sqrt( grad^T xi grad / n ) and CI = estimate +- z * se.  Because xi
+is diag(p) - p p^T, the quadratic form never needs the r^2 x r^2 matrix:
 
-    se = sqrt( grad^T xi grad / n ),      CI = estimate +- z * se.
+    grad^T xi grad = p.g^2 - (p.g)^2 = p.(g - p.g)^2,      g = grad,
+
+an O(r^2) sum, evaluated in the centered form, which is nonnegative and
+free of cancellation.
 
 Two gradient routes are kept permanently: the analytic chain rule
 (:func:`grad_phi`) and central finite differences (:func:`grad_fd`), so
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -37,14 +43,19 @@ from .errors import (
 )
 from .measures import (
     _LAMBDA_ZERO_THRESHOLD,
-    _cell_terms,
-    _phi_raw,
+    _LN2,
+    _QUARTER_PI,
+    _RANGE,
+    _check_lambda,
+    _psi_g,
     _psi_raw,
-    discordance,
-    phi,
-    psi,
+    _raw,
+    _scalar,
+    _table_terms,
+    _terms,
+    _value,
 )
-from .tables import CountTable, from_counts, hazards, marginals
+from .tables import CountTable, from_counts
 
 __all__ = [
     "ConfInterval",
@@ -62,7 +73,9 @@ __all__ = [
 # share of degenerate bootstrap replicates tolerated before giving up
 _DEGENERATE_REPLICATE_CAP = 0.01
 
-_QUARTER_PI = math.pi / 4.0
+# Replicate loops draw and evaluate their tables in stacks of at most this
+# many cells (at least one table), which bounds their working memory.
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -118,10 +131,7 @@ def _check_measure(measure: str, lam: float | None) -> tuple[str, float | None]:
         return "phi", None
     if lam is None:
         raise DomainError("measure 'psi' needs a lambda value")
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= -1.0:
-        raise DomainError(f"lambda must be a finite number > -1, got {lam!r}")
-    return "psi", lam
+    return "psi", _check_lambda(lam)
 
 
 def _flat_prob(p: np.ndarray) -> tuple[np.ndarray, int]:
@@ -141,47 +151,117 @@ def _flat_prob(p: np.ndarray) -> tuple[np.ndarray, int]:
     return vec, r
 
 
-def _checked_terms(vec: np.ndarray, r: int):
-    """Run the W chain and reject points where phi is not differentiable."""
-    cells = vec.reshape(r, r)
-    row = cells.sum(axis=1)
-    col = cells.sum(axis=0)
-    surv_x = np.flip(np.cumsum(np.flip(row)))
-    surv_y = np.flip(np.cumsum(np.flip(col)))
-    for name, surv in (("row", surv_x), ("column", surv_y)):
-        dead = np.flatnonzero(surv[:-1] == 0.0)
-        if dead.size:
-            raise NonDifferentiableError(
-                f"{name} survival is exhausted at index {dead[0] + 1}; "
-                "the hazard there is a 0/0"
-            )
-    terms = _cell_terms(vec, r)
-    t = terms.w1 + terms.w2
-    if float(np.sum(t)) == 0.0:
-        raise DegenerateMassError("all discordance terms vanish; the measure is undefined")
-    dead = np.flatnonzero(t == 0.0)
-    if dead.size:
-        raise NonDifferentiableError(
-            f"both discordance terms vanish at index {dead[0] + 1}; "
-            "the angle there is undefined"
-        )
-    if np.all(terms.w1 == 0.0) or np.all(terms.w2 == 0.0):
-        bound = -1 if np.all(terms.w1 == 0.0) else 1
-        raise NonDifferentiableError(
-            f"the estimate sits at the boundary phi = {bound}; "
-            "the delta-method interval is undefined there"
-        )
-    return terms
+def _refusals(terms, measure: str):
+    """(error, message, per-index condition, reduction over the indices) for
+    each reason the gradient is refused, in the order the reasons are reported."""
+    w1, w2 = terms.w1, terms.w2
+    vanish = (w1 + w2) == 0.0
+    boundary = ("the estimate sits at the boundary phi = {}; "
+                "the delta-method interval is undefined there")
+    nondiff = NonDifferentiableError
+    checks = [
+        (nondiff, "row survival is exhausted at index {i}; the hazard there is a 0/0",
+         terms.exhausted_x, np.any),
+        (nondiff, "column survival is exhausted at index {i}; the hazard there is a 0/0",
+         terms.exhausted_y, np.any),
+        (DegenerateMassError, "all discordance terms vanish; the measure is undefined",
+         vanish, np.all),
+        (nondiff, "both discordance terms vanish at index {i}; the angle there is undefined",
+         vanish, np.any),
+        (nondiff, boundary.format(-1), w1 == 0.0, np.all),
+        (nondiff, boundary.format(1), w2 == 0.0, np.all),
+    ]
+    if measure == "psi":
+        checks.append((nondiff, "a discordance term vanishes at index {i}; psi is not "
+                       "differentiable there", (w1 == 0.0) | (w2 == 0.0), np.any))
+    return checks
+
+
+def _refused(terms, measure: str) -> np.ndarray:
+    """Mask of the tables in a stack where the gradient is refused."""
+    bad = np.zeros(terms.w1.shape[:-1], dtype=bool)
+    for _, _, condition, reduce in _refusals(terms, measure):
+        bad |= reduce(condition, axis=-1)
+    return bad
+
+
+def _refuse(terms, measure: str) -> None:
+    """Raise the first refusal that applies to one table, if any."""
+    for error, message, condition, reduce in _refusals(terms, measure):
+        if reduce(condition):
+            raise error(message.format(i=int(np.argmax(condition)) + 1))
+
+
+def _grad(terms, measure: str, lam: float | None) -> np.ndarray:
+    """Analytic gradient of the measure over the cells, (..., r^2); see
+    :func:`grad_phi`.  Meaningful only where :func:`_refused` is false."""
+    w1, w2 = terms.w1, terms.w2
+    t = w1 + w2
+    total = np.sum(t, axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if measure == "phi":
+            u = t / total
+            theta = np.arctan2(w1, w2)
+            rsq = w1 * w1 + w2 * w2
+            shifted = theta - _QUARTER_PI
+            centered = shifted - np.sum(u * shifted, axis=-1, keepdims=True)
+            c = 4.0 / math.pi
+            g_w1 = c * (centered / total + u * w2 / rsq)
+            g_w2 = c * (centered / total - u * w1 / rsq)
+        else:
+            x = w1 / t
+            value = _psi_raw(w1, w2, lam)[..., None]
+            g = _psi_g(x, lam)
+            if abs(lam) < _LAMBDA_ZERO_THRESHOLD:
+                gprime = (np.log(2.0 * x) - np.log(2.0 * (1.0 - x))) / _LN2
+            else:
+                denom = math.expm1(lam * _LN2)
+                gprime = (lam + 1.0) * ((2.0 * x) ** lam - (2.0 * (1.0 - x)) ** lam) / denom
+            g_w1 = (g - value) / total + gprime * w2 / (total * t)
+            g_w2 = (g - value) / total - gprime * w1 / (total * t)
+        return _chain_to_cells(terms, g_w1, g_w2)
+
+
+def _chain_to_cells(terms, g_w1: np.ndarray, g_w2: np.ndarray) -> np.ndarray:
+    """Push gradients on (W1, W2) down to the r^2 cells."""
+    omega_x, omega_y = terms.omega_x, terms.omega_y
+    g_ox = g_w1 * (1.0 - omega_y) - g_w2 * omega_y
+    g_oy = -g_w1 * omega_x + g_w2 * (1.0 - omega_x)
+
+    def to_marginal(g_omega: np.ndarray, omega: np.ndarray, surv: np.ndarray) -> np.ndarray:
+        # d omega_i / d m_k = delta_ik / s_i - (omega_i / s_i) [k >= i]
+        s = surv[..., :-1]
+        running = np.cumsum(g_omega * omega / s, axis=-1)
+        return np.concatenate((g_omega / s - running, 0.0 - running[..., -1:]), axis=-1)
+
+    g_row = to_marginal(g_ox, omega_x, terms.surv_x)
+    g_col = to_marginal(g_oy, omega_y, terms.surv_y)
+    r = g_row.shape[-1]
+    return (g_row[..., :, None] + g_col[..., None, :]).reshape(*g_row.shape[:-1], r * r)
+
+
+def _variance(p: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """grad^T xi(p) grad over the last axis, as p.(g - p.g)^2; p is flat like grad."""
+    centered = grad - np.sum(p * grad, axis=-1, keepdims=True)
+    return np.sum(p * centered * centered, axis=-1)
 
 
 def multinomial_covariance(p: np.ndarray) -> np.ndarray:
     """Multinomial covariance xi(p) = diag(p) - p p^T (an r^2 x r^2 matrix).
 
     The result is symmetric, positive semidefinite, and annihilates the
-    all-ones vector (its rows sum to zero).
+    all-ones vector (its rows sum to zero).  The interval code never builds
+    it (see the module docstring); it is kept as a reference.
     """
     vec, _ = _flat_prob(p)
     return np.diag(vec) - np.outer(vec, vec)
+
+
+def _checked_grad(p: np.ndarray, measure: str, lam: float | None) -> np.ndarray:
+    vec, r = _flat_prob(p)
+    terms = _terms(vec.reshape(r, r))
+    _refuse(terms, measure)
+    return _grad(terms, measure, lam)
 
 
 def grad_phi(p: np.ndarray) -> np.ndarray:
@@ -199,77 +279,21 @@ def grad_phi(p: np.ndarray) -> np.ndarray:
         If any survival in use is exhausted, any index has
         W1_i = W2_i = 0, or the estimate sits at the boundary phi = +-1.
     """
-    vec, r = _flat_prob(p)
-    terms = _checked_terms(vec, r)
-    w1, w2 = terms.w1, terms.w2
-
-    t = w1 + w2
-    total = float(np.sum(t))
-    u = t / total
-    theta = np.arctan2(w1, w2)
-    rsq = w1 * w1 + w2 * w2
-    centered = (theta - _QUARTER_PI) - float(np.sum(u * (theta - _QUARTER_PI)))
-
-    c = 4.0 / math.pi
-    g_w1 = c * (centered / total + u * w2 / rsq)
-    g_w2 = c * (centered / total - u * w1 / rsq)
-    return _chain_to_cells(terms, g_w1, g_w2, r)
+    return _checked_grad(p, "phi", None)
 
 
 def _grad_psi(p: np.ndarray, lam: float) -> np.ndarray:
     """Analytic gradient of psi(., lambda); needs every W1_i, W2_i > 0."""
-    vec, r = _flat_prob(p)
-    terms = _checked_terms(vec, r)
-    w1, w2 = terms.w1, terms.w2
-    dead = np.flatnonzero((w1 == 0.0) | (w2 == 0.0))
-    if dead.size:
-        raise NonDifferentiableError(
-            f"a discordance term vanishes at index {dead[0] + 1}; "
-            "psi is not differentiable there"
-        )
-
-    t = w1 + w2
-    total = float(np.sum(t))
-    x = w1 / t
-    value = _psi_raw(w1, w2, lam)
-    if abs(lam) < _LAMBDA_ZERO_THRESHOLD:
-        g = (x * np.log(2.0 * x) + (1.0 - x) * np.log(2.0 * (1.0 - x))) / math.log(2.0)
-        gprime = (np.log(2.0 * x) - np.log(2.0 * (1.0 - x))) / math.log(2.0)
-    else:
-        denom = math.expm1(lam * math.log(2.0))
-        g = (x * (2.0 * x) ** lam + (1.0 - x) * (2.0 * (1.0 - x)) ** lam - 1.0) / denom
-        gprime = (lam + 1.0) * ((2.0 * x) ** lam - (2.0 * (1.0 - x)) ** lam) / denom
-
-    g_w1 = (g - value) / total + gprime * w2 / (total * t)
-    g_w2 = (g - value) / total - gprime * w1 / (total * t)
-    return _chain_to_cells(terms, g_w1, g_w2, r)
+    return _checked_grad(p, "psi", lam)
 
 
-def _chain_to_cells(terms, g_w1: np.ndarray, g_w2: np.ndarray, r: int) -> np.ndarray:
-    """Push gradients on (W1, W2) down to the r^2 cells."""
-    omega_x, omega_y = terms.omega_x, terms.omega_y
-    g_ox = g_w1 * (1.0 - omega_y) - g_w2 * omega_y
-    g_oy = -g_w1 * omega_x + g_w2 * (1.0 - omega_x)
-
-    def to_marginal(g_omega: np.ndarray, omega: np.ndarray, surv: np.ndarray) -> np.ndarray:
-        # d omega_i / d m_k = delta_ik / s_i - (omega_i / s_i) [k >= i]
-        g = np.zeros(r)
-        g[: r - 1] = g_omega / surv[: r - 1]
-        running = np.cumsum(g_omega * omega / surv[: r - 1])
-        g[: r - 1] -= running
-        g[r - 1] -= running[-1]
-        return g
-
-    g_row = to_marginal(g_ox, omega_x, terms.surv_x)
-    g_col = to_marginal(g_oy, omega_y, terms.surv_y)
-    return (g_row[:, None] + g_col[None, :]).ravel()
-
-
-def grad_fd(p: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-finite-difference gradient of phi, the audit route.
+def grad_fd(
+    p: np.ndarray, h: float = 1e-6, measure: str = "phi", lam: float | None = None
+) -> np.ndarray:
+    """Central-finite-difference gradient of phi (or psi), the audit route.
 
     Each cell is stepped by +-h without renormalizing; degree-0 homogeneity
-    of phi in the cells makes that legitimate.
+    of the measures in the cells makes that legitimate.
 
     Parameters
     ----------
@@ -277,46 +301,63 @@ def grad_fd(p: np.ndarray, h: float = 1e-6) -> np.ndarray:
         Flat cell probabilities (length r^2).
     h : float
         Step size, 0 < h < 1e-3.
+    measure : {"phi", "psi"}
+    lam : float, optional
+        Divergence index, required when measure is "psi".
     """
     h = float(h)
     if not (0.0 < h < 1e-3):
         raise DomainError(f"step must satisfy 0 < h < 1e-3, got {h!r}")
+    measure, lam = _check_measure(measure, lam)
     vec, r = _flat_prob(p)
-    _checked_terms(vec, r)  # same differentiability contract as grad_phi
-    grad = np.empty(vec.shape[0])
-    for k in range(vec.shape[0]):
-        plus = vec.copy()
-        plus[k] += h
-        minus = vec.copy()
-        minus[k] -= h
-        tp = _cell_terms(plus, r)
-        tm = _cell_terms(minus, r)
-        grad[k] = (_phi_raw(tp.w1, tp.w2) - _phi_raw(tm.w1, tm.w2)) / (2.0 * h)
-    return grad
-
-
-def _grad_fd_psi(p: np.ndarray, lam: float, h: float = 1e-6) -> np.ndarray:
-    """Finite-difference audit route for the psi gradient."""
-    h = float(h)
-    if not (0.0 < h < 1e-3):
-        raise DomainError(f"step must satisfy 0 < h < 1e-3, got {h!r}")
-    vec, r = _flat_prob(p)
-    _checked_terms(vec, r)
-    grad = np.empty(vec.shape[0])
-    for k in range(vec.shape[0]):
-        plus = vec.copy()
-        plus[k] += h
-        minus = vec.copy()
-        minus[k] -= h
-        tp = _cell_terms(plus, r)
-        tm = _cell_terms(minus, r)
-        grad[k] = (_psi_raw(tp.w1, tp.w2, lam) - _psi_raw(tm.w1, tm.w2, lam)) / (2.0 * h)
+    _refuse(_terms(vec.reshape(r, r)), measure)  # same contract as the analytic route
+    cells = r * r
+    grad = np.empty(cells)
+    for lo, hi in _chunks(cells, r):
+        step = h * np.eye(hi - lo, cells, lo)  # row k steps cell lo + k
+        t = _terms(np.stack((vec + step, vec - step)).reshape(2, hi - lo, r, r))
+        plus, minus = _raw(t.w1, t.w2, measure, lam)
+        grad[lo:hi] = (plus - minus) / (2.0 * h)
     return grad
 
 
 def _plugin_estimate(table: CountTable, measure: str, lam: float | None) -> float:
-    d = discordance(hazards(marginals(from_counts(table))))
-    return phi(d) if measure == "phi" else psi(d, lam)
+    _, terms = _table_terms(table.counts)
+    return _scalar(_value(terms.w1, terms.w2, measure, lam), measure)
+
+
+def _chunks(count: int, r: int):
+    """(start, stop) ranges covering count r x r tables, _CHUNK_CELLS cells at a time."""
+    size = max(1, _CHUNK_CELLS // (r * r))
+    for start in range(0, count, size):
+        yield start, min(start + size, count)
+
+
+def _resample(p: np.ndarray, n: int, replicates: int, seed: int):
+    """Multinomial tables of size n over the cells p, as (b, r, r) count stacks.
+
+    Replicate k draws from the generator spawned from ``SeedSequence(seed)``
+    at position k; spawning chunk by chunk from one root keeps that stream.
+    """
+    r = p.shape[-1]
+    flat = p.ravel()
+    root = np.random.SeedSequence(seed)
+    for lo, hi in _chunks(replicates, r):
+        draws = np.empty((hi - lo, r * r), dtype=np.int64)
+        for k, child in enumerate(root.spawn(hi - lo)):
+            draws[k] = np.random.default_rng(child).multinomial(n, flat)
+        yield draws.reshape(-1, r, r)
+
+
+def _delta(counts: np.ndarray, measure: str, lam: float | None):
+    """Estimate, delta-method se, gradient and W terms of count tables (..., r, r);
+    se is meaningless where :func:`_refused` holds."""
+    p, terms = _table_terms(counts)
+    estimate = _value(terms.w1, terms.w2, measure, lam)
+    grad = _grad(terms, measure, lam)
+    with np.errstate(all="ignore"):  # refused tables carry inf/NaN
+        se = np.sqrt(_variance(p.reshape(grad.shape), grad) / counts.sum(axis=(-2, -1)))
+    return estimate, se, grad, terms
 
 
 def wald_ci(
@@ -353,16 +394,14 @@ def wald_ci(
     level = _check_level(level)
     measure, lam = _check_measure(measure, lam)
 
-    estimate = _plugin_estimate(table, measure, lam)
-    pvec = from_counts(table).p.ravel()
-    grad = grad_phi(pvec) if measure == "phi" else _grad_psi(pvec, lam)
-    cov = multinomial_covariance(pvec)
-    variance = float(grad @ cov @ grad) / table.n
-    se = math.sqrt(max(variance, 0.0))
+    estimate, se, grad, terms = _delta(table.counts, measure, lam)
+    estimate = _scalar(estimate, measure)
+    _refuse(terms, measure)
+    se = float(se)
     z = z_quantile(1.0 - (1.0 - level) / 2.0)
     lower = estimate - z * se
     upper = estimate + z * se
-    lo_edge, hi_edge = (-1.0, 1.0) if measure == "phi" else (0.0, 1.0)
+    lo_edge, hi_edge = _RANGE[measure]
     ci = ConfInterval(
         estimate=estimate,
         se=se,
@@ -401,6 +440,9 @@ def bootstrap_ci(
     Deterministic for a fixed seed: replicate k uses a generator spawned
     from ``SeedSequence(seed)`` at position k, and aggregation (counts plus
     sorted percentile extraction) does not depend on evaluation order.
+    Replicates are drawn and evaluated in bounded chunks; the generators are
+    spawned chunk by chunk from the one root, so the stream, and with it
+    every reported number, is the same as one replicate at a time.
     """
     if not isinstance(table, CountTable):
         table = CountTable(table)
@@ -414,17 +456,12 @@ def bootstrap_ci(
         raise DomainError("seed must be a nonnegative integer")
 
     n = table.n
-    r = table.r
-    pvec = from_counts(table).p.ravel()
-    values = np.full(replicates, np.nan)
-    degenerate = 0
-    for k, child in enumerate(np.random.SeedSequence(seed).spawn(replicates)):
-        rng = np.random.default_rng(child)
-        resampled = CountTable(rng.multinomial(n, pvec).reshape(r, r))
-        try:
-            values[k] = _plugin_estimate(resampled, measure, lam)
-        except DegenerateMassError:
-            degenerate += 1
+    chunks = []
+    for counts in _resample(from_counts(table).p, n, replicates, seed):
+        _, terms = _table_terms(counts)
+        chunks.append(_value(terms.w1, terms.w2, measure, lam))
+    values = np.concatenate(chunks)
+    degenerate = int(np.count_nonzero(np.isnan(values)))
 
     if degenerate > _DEGENERATE_REPLICATE_CAP * replicates:
         raise TooManyDegenerateReplicatesError(
@@ -506,66 +543,12 @@ def compare_groups(
     )
 
 
-# Rational approximation of the standard normal quantile (Acklam's
-# coefficients), refined by one Halley step through erfc; the refined value
-# is accurate to well below 1e-9 over (0, 1).
-_PPF_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_PPF_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_PPF_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_PPF_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_PPF_LOW = 0.02425
+_STANDARD_NORMAL = NormalDist()
 
 
 def z_quantile(q: float) -> float:
-    """Standard normal quantile, accurate to better than 1e-9 on (0, 1)."""
+    """Standard normal quantile on (0, 1), from :class:`statistics.NormalDist`."""
     q = float(q)
     if not (0.0 < q < 1.0):
         raise DomainError(f"quantile level must lie in (0, 1), got {q!r}")
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    if q < _PPF_LOW:
-        u = math.sqrt(-2.0 * math.log(q))
-        x = (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    elif q <= 1.0 - _PPF_LOW:
-        u = q - 0.5
-        v = u * u
-        x = (
-            (((((a[0] * v + a[1]) * v + a[2]) * v + a[3]) * v + a[4]) * v + a[5])
-            * u
-            / (((((b[0] * v + b[1]) * v + b[2]) * v + b[3]) * v + b[4]) * v + 1.0)
-        )
-    else:
-        u = math.sqrt(-2.0 * math.log(1.0 - q))
-        x = -(((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    # one Halley refinement
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - q
-    step = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - step / (1.0 + x * step / 2.0)
+    return _STANDARD_NORMAL.inv_cdf(q)

@@ -42,7 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateMassError, DomainError, ShapeError
-from .tables import HazardPair, _frozen
+from .tables import HazardPair, _frozen, _hazard, _margins
+from .tables import _check_counts, _check_hazards, _check_marginals, _check_probs
 
 __all__ = [
     "DiscordanceTerms",
@@ -75,9 +76,7 @@ class DiscordanceTerms:
         object.__setattr__(self, "w2", _frozen(np.asarray(self.w2, dtype=np.float64)))
         if self.w1.ndim != 1 or self.w1.shape != self.w2.shape or self.w1.shape[0] < 1:
             raise ShapeError("w1 and w2 must be 1-d arrays of equal positive length")
-        for name, w in (("w1", self.w1), ("w2", self.w2)):
-            if np.any(w < 0.0) or np.any(w > 1.0) or not np.all(np.isfinite(w)):
-                raise DomainError(f"{name} entries must lie in [0, 1]")
+        _check_discordance(self.w1, self.w2)
 
     @property
     def total_mass(self) -> float:
@@ -117,8 +116,26 @@ class AngleDecomposition:
             raise DomainError("defined weights must sum to 1")
 
 
-class _CellTerms(NamedTuple):
-    """Intermediates of the cells -> hazards -> W chain (no validation)."""
+def _check_lambda(lam: float) -> float:
+    lam = float(lam)
+    if not math.isfinite(lam) or lam <= -1.0:
+        raise DomainError(f"lambda must be a finite number > -1, got {lam!r}")
+    return lam
+
+
+def _check_discordance(w1: np.ndarray, w2: np.ndarray) -> None:
+    """DiscordanceTerms value invariants over (..., r - 1)."""
+    for name, w in (("w1", w1), ("w2", w2)):
+        if np.any(w < 0.0) or np.any(w > 1.0) or not np.all(np.isfinite(w)):
+            raise DomainError(f"{name} entries must lie in [0, 1]")
+
+
+def _w(omega_x: np.ndarray, omega_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return omega_x * (1.0 - omega_y), omega_y * (1.0 - omega_x)
+
+
+class _Terms(NamedTuple):
+    """Intermediates of the cells -> marginals -> hazards -> W chain."""
 
     row: np.ndarray
     col: np.ndarray
@@ -126,57 +143,107 @@ class _CellTerms(NamedTuple):
     surv_y: np.ndarray
     omega_x: np.ndarray
     omega_y: np.ndarray
+    exhausted_x: np.ndarray
+    exhausted_y: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
 
 
-def _cell_terms(p: np.ndarray, r: int) -> _CellTerms:
-    """Smooth, unguarded evaluation of the W chain from flat cells.
+def _terms(cells: np.ndarray) -> _Terms:
+    """The W chain over cells (..., r, r), for any leading batch shape.
 
-    Used by the gradient machinery: it must stay evaluable slightly off the
-    probability simplex (unnormalized totals, tiny negative excursions from
-    finite-difference steps), so it performs no clipping and no exhaustion
-    handling.  Callers are responsible for staying away from zero survivals.
+    Unvalidated, so it stays evaluable off the simplex (finite differences).
     """
-    cells = np.asarray(p, dtype=np.float64).reshape(r, r)
-    row = cells.sum(axis=1)
-    col = cells.sum(axis=0)
-    surv_x = np.flip(np.cumsum(np.flip(row)))
-    surv_y = np.flip(np.cumsum(np.flip(col)))
-    omega_x = row[:-1] / surv_x[:-1]
-    omega_y = col[:-1] / surv_y[:-1]
-    w1 = omega_x * (1.0 - omega_y)
-    w2 = omega_y * (1.0 - omega_x)
-    return _CellTerms(row, col, surv_x, surv_y, omega_x, omega_y, w1, w2)
+    row, col, surv_x, surv_y = _margins(cells)
+    omega_x, exhausted_x = _hazard(row, surv_x)
+    omega_y, exhausted_y = _hazard(col, surv_y)
+    w1, w2 = _w(omega_x, omega_y)
+    return _Terms(row, col, surv_x, surv_y, omega_x, omega_y, exhausted_x, exhausted_y, w1, w2)
 
 
-def _phi_raw(w1: np.ndarray, w2: np.ndarray) -> float:
-    """phi formula without range clamping.
+def _table_terms(counts: np.ndarray) -> tuple[np.ndarray, _Terms]:
+    """Cell probabilities and W chain of count tables (..., r, r), checking every
+    table, marginal, hazard and discordance invariant once for the whole stack."""
+    counts = _check_counts(counts)
+    p = _check_probs(counts / counts.sum(axis=(-2, -1), keepdims=True))
+    t = _terms(p)
+    _check_marginals(t.row, t.col, np.cumsum(t.row, -1), np.cumsum(t.col, -1), t.surv_x, t.surv_y)
+    _check_hazards(t.omega_x, t.omega_y, t.exhausted_x, t.exhausted_y)
+    _check_discordance(t.w1, t.w2)
+    return p, t
+
+
+def _phi_raw(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """phi over the last axis without range clamping; NaN where every W1 + W2 = 0.
 
     arctan2 is the smooth extension of arccos(W2 / sqrt(W1^2 + W2^2)) to
     slightly negative arguments, and yields 0 (with zero weight) at
     undefined indices instead of NaN.
     """
-    total = np.sum(w1 + w2)
+    t = w1 + w2
+    with np.errstate(invalid="ignore"):
+        weight = t / np.sum(t, axis=-1, keepdims=True)
     theta = np.arctan2(w1, w2)
-    weight = (w1 + w2) / total
-    return float((4.0 / math.pi) * np.sum(weight * (theta - _QUARTER_PI)))
+    return (4.0 / math.pi) * np.sum(weight * (theta - _QUARTER_PI), axis=-1)
 
 
-def _clamp(value: float, lo: float, hi: float) -> float:
-    if lo - _RANGE_SLACK <= value < lo:
-        return lo
-    if hi < value <= hi + _RANGE_SLACK:
-        return hi
-    return value
+def _psi_g(x: np.ndarray, lam: float) -> np.ndarray:
+    """Per-index divergence g(x) of the W1 share x = W1 / (W1 + W2)."""
+    if abs(lam) < _LAMBDA_ZERO_THRESHOLD:
+        # analytic lambda -> 0 limit: (1/ln 2) * KL against the midpoint,
+        # with 0 * log 0 = 0
+        def xlog2x(v: np.ndarray) -> np.ndarray:
+            pos = v > 0.0
+            return np.where(pos, v * np.log(2.0 * np.where(pos, v, 1.0)), 0.0)
+
+        return (xlog2x(x) + xlog2x(1.0 - x)) / _LN2
+    denom = math.expm1(lam * _LN2)  # 2^lambda - 1 without cancellation
+
+    def xpow(v: np.ndarray) -> np.ndarray:
+        # v * (2v)^lambda, with the v -> 0 limit 0 for every lambda > -1
+        pos = v > 0.0
+        return np.where(pos, v * (2.0 * np.where(pos, v, 1.0)) ** lam, 0.0)
+
+    return (xpow(x) + xpow(1.0 - x) - 1.0) / denom
+
+
+def _psi_raw(w1: np.ndarray, w2: np.ndarray, lam: float) -> np.ndarray:
+    """psi over the last axis without range clamping; NaN where every W1 + W2 = 0."""
+    t = w1 + w2
+    x = w1 / np.where(t > 0.0, t, 1.0)
+    with np.errstate(invalid="ignore"):
+        u = t / np.sum(t, axis=-1, keepdims=True)
+    # an index with W1 + W2 = 0 has u = 0 and a finite g, so it adds 0
+    return np.sum(u * _psi_g(x, lam), axis=-1)
+
+
+def _raw(w1: np.ndarray, w2: np.ndarray, measure: str, lam: float | None) -> np.ndarray:
+    return _phi_raw(w1, w2) if measure == "phi" else _psi_raw(w1, w2, lam)
+
+
+# logical range of each measure
+_RANGE = {"phi": (-1.0, 1.0), "psi": (0.0, 1.0)}
+
+
+def _value(w1: np.ndarray, w2: np.ndarray, measure: str, lam: float | None) -> np.ndarray:
+    """phi or psi over the last axis, clamped into range; NaN marks degenerate mass."""
+    lo, hi = _RANGE[measure]
+    value = _raw(w1, w2, measure, lam)
+    value = np.where((lo - _RANGE_SLACK <= value) & (value < lo), lo, value)
+    return np.where((hi < value) & (value <= hi + _RANGE_SLACK), hi, value)
+
+
+def _scalar(value: np.ndarray, measure: str) -> float:
+    """One table's measure value, raising where it is undefined."""
+    if np.isnan(value):
+        raise DegenerateMassError(f"all discordance terms vanish; {measure} is undefined")
+    return float(value)
 
 
 def discordance(haz: HazardPair) -> DiscordanceTerms:
     """Discordance terms W1_i = omega_i^X (1-omega_i^Y), W2_i = omega_i^Y (1-omega_i^X)."""
-    return DiscordanceTerms(
-        w1=haz.omega_x * (1.0 - haz.omega_y),
-        w2=haz.omega_y * (1.0 - haz.omega_x),
-    )
+    w1, w2 = _w(haz.omega_x, haz.omega_y)
+    return DiscordanceTerms(w1=w1, w2=w2)
 
 
 def phi(d: DiscordanceTerms) -> float:
@@ -189,39 +256,7 @@ def phi(d: DiscordanceTerms) -> float:
     DegenerateMassError
         If every W1_i + W2_i = 0, where the measure is undefined.
     """
-    if d.total_mass == 0.0:
-        raise DegenerateMassError("all discordance terms vanish; phi is undefined")
-    return _clamp(_phi_raw(d.w1, d.w2), -1.0, 1.0)
-
-
-def _psi_raw(w1: np.ndarray, w2: np.ndarray, lam: float) -> float:
-    t = w1 + w2
-    total = np.sum(t)
-    keep = t > 0.0
-    x = w1[keep] / t[keep]
-    u = t[keep] / total
-    if abs(lam) < _LAMBDA_ZERO_THRESHOLD:
-        # analytic lambda -> 0 limit: (1/ln 2) * KL against the midpoint,
-        # with 0 * log 0 = 0
-        def xlog2x(v: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(v)
-            pos = v > 0.0
-            out[pos] = v[pos] * np.log(2.0 * v[pos])
-            return out
-
-        g = (xlog2x(x) + xlog2x(1.0 - x)) / _LN2
-    else:
-        denom = math.expm1(lam * _LN2)  # 2^lambda - 1 without cancellation
-
-        def xpow(v: np.ndarray) -> np.ndarray:
-            # v * (2v)^lambda, with the v -> 0 limit 0 for every lambda > -1
-            out = np.zeros_like(v)
-            pos = v > 0.0
-            out[pos] = v[pos] * (2.0 * v[pos]) ** lam
-            return out
-
-        g = (xpow(x) + xpow(1.0 - x) - 1.0) / denom
-    return float(np.sum(u * g))
+    return _scalar(_value(d.w1, d.w2, "phi", None), "phi")
 
 
 def psi(d: DiscordanceTerms, lam: float) -> float:
@@ -241,12 +276,7 @@ def psi(d: DiscordanceTerms, lam: float) -> float:
     DegenerateMassError
         If every W1_i + W2_i = 0.
     """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= -1.0:
-        raise DomainError(f"lambda must be a finite number > -1, got {lam!r}")
-    if d.total_mass == 0.0:
-        raise DegenerateMassError("all discordance terms vanish; psi is undefined")
-    return _clamp(_psi_raw(d.w1, d.w2, lam), 0.0, 1.0)
+    return _scalar(_value(d.w1, d.w2, "psi", _check_lambda(lam)), "psi")
 
 
 def angle_decomposition(d: DiscordanceTerms) -> AngleDecomposition:

@@ -49,9 +49,84 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _tail_sums(v: np.ndarray) -> np.ndarray:
-    # s_i = sum_{k >= i} v_k, accumulated from the tail so that tiny tail
-    # mass is not lost to cancellation (preferred over 1 - F_{i-1}).
-    return np.flip(np.cumsum(np.flip(v)))
+    # s_i = sum_{k >= i} v_k along the last axis, accumulated from the tail so
+    # that tiny tail mass is not lost to cancellation (preferred over 1 - F_{i-1}).
+    return np.flip(np.cumsum(np.flip(v, -1), -1), -1)
+
+
+# The invariant checks below take any leading batch shape, so a stack of
+# tables is validated in one call with the same errors a single table gets.
+
+
+def _check_counts(arr: np.ndarray) -> np.ndarray:
+    """CountTable value invariants over (..., r, r); returns int64 counts."""
+    if np.issubdtype(arr.dtype, np.floating):
+        if not np.all(np.isfinite(arr)) or np.any(arr != np.floor(arr)):
+            raise DomainError("counts must be integers")
+    elif not np.issubdtype(arr.dtype, np.integer):
+        raise DomainError(f"counts must be integers, got dtype {arr.dtype}")
+    if np.any(arr < 0):
+        raise DomainError("counts must be nonnegative")
+    arr = arr.astype(np.int64)
+    if np.any(arr.sum(axis=(-2, -1)) == 0):
+        raise ZeroTotalError("count table sums to zero")
+    return arr
+
+
+def _check_probs(arr: np.ndarray) -> np.ndarray:
+    """ProbTable invariants over (..., r, r); returns the renormalized cells."""
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("probabilities must be finite")
+    if np.any(arr < 0):
+        raise DomainError("probabilities must be nonnegative")
+    total = arr.reshape(*arr.shape[:-2], -1).sum(axis=-1)[..., None, None]
+    off = np.abs(total - 1.0) > PROB_SUM_TOL
+    if np.any(off):
+        raise DomainError(
+            f"probabilities sum to {float(total[off][0])!r}, more than {PROB_SUM_TOL} away from 1"
+        )
+    return arr / total  # x / 1.0 == x, so exact-mass tables come back unchanged
+
+
+def _check_marginals(row, col, row_cum, col_cum, row_surv, col_surv) -> None:
+    """MarginalPair value invariants over (..., r)."""
+    for name, marg in (("row", row), ("col", col)):
+        if np.any(np.abs(marg.sum(axis=-1) - 1.0) > _INVARIANT_TOL):
+            raise DomainError(f"{name} marginal does not sum to 1")
+    for cum, surv, name in ((row_cum, row_surv, "row"), (col_cum, col_surv, "col")):
+        # s_i = 1 - F_{i-1} with F_0 = 0
+        prev = np.concatenate((np.zeros_like(cum[..., :1]), cum[..., :-1]), axis=-1)
+        if np.any(np.abs(surv - (1.0 - prev)) > _INVARIANT_TOL):
+            raise DomainError(f"{name} survivals are inconsistent with cumulatives")
+        if np.any(np.diff(surv, axis=-1) > 0.0):
+            raise DomainError(f"{name} survivals must be nonincreasing")
+
+
+def _check_hazards(omega_x, omega_y, exhausted_x, exhausted_y) -> None:
+    """HazardPair value invariants over (..., r - 1)."""
+    for omega, flag, name in (
+        (omega_x, exhausted_x, "omega_x"),
+        (omega_y, exhausted_y, "omega_y"),
+    ):
+        if np.any(omega < 0.0) or np.any(omega > 1.0):
+            raise DomainError(f"{name} entries must lie in [0, 1]")
+        if np.any(omega[flag] != 0.0):
+            raise DomainError(f"exhausted {name} entries must be 0 by convention")
+
+
+def _margins(p: np.ndarray):
+    """Row and column marginals of (..., r, r) cells with their tail-sum survivals."""
+    row = p.sum(axis=-1)
+    col = p.sum(axis=-2)
+    return row, col, _tail_sums(row), _tail_sums(col)
+
+
+def _hazard(mass: np.ndarray, surv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hazards mass_i / s_i, i = 1..r-1; an exhausted s_i = 0 is flagged, hazard 0."""
+    s = surv[..., :-1]
+    exhausted = s == 0.0
+    omega = np.where(exhausted, 0.0, mass[..., :-1] / np.where(exhausted, 1.0, s))
+    return omega, exhausted
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,17 +148,7 @@ class CountTable:
             raise ShapeError(
                 f"counts must be a square r x r matrix with r >= 2, got shape {arr.shape}"
             )
-        if np.issubdtype(arr.dtype, np.floating):
-            if not np.all(np.isfinite(arr)) or np.any(arr != np.floor(arr)):
-                raise DomainError("counts must be integers")
-        elif not np.issubdtype(arr.dtype, np.integer):
-            raise DomainError(f"counts must be integers, got dtype {arr.dtype}")
-        if np.any(arr < 0):
-            raise DomainError("counts must be nonnegative")
-        arr = arr.astype(np.int64)
-        if arr.sum() == 0:
-            raise ZeroTotalError("count table sums to zero")
-        object.__setattr__(self, "counts", _frozen(arr))
+        object.__setattr__(self, "counts", _frozen(_check_counts(arr)))
 
     @property
     def r(self) -> int:
@@ -121,20 +186,7 @@ class ProbTable:
             raise ShapeError(
                 f"probability table must be square r x r with r >= 2, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("probabilities must be finite")
-        if np.any(arr < 0):
-            raise DomainError("probabilities must be nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise DomainError(
-                f"probabilities sum to {total!r}, more than {PROB_SUM_TOL} away from 1"
-            )
-        if total != 1.0:
-            arr = arr / total
-        else:
-            arr = arr.copy()
-        object.__setattr__(self, "p", _frozen(arr))
+        object.__setattr__(self, "p", _frozen(_check_probs(arr)))
 
     @property
     def r(self) -> int:
@@ -168,19 +220,9 @@ class MarginalPair:
         for name in ("col", "row_cum", "col_cum", "row_surv", "col_surv"):
             if getattr(self, name).shape != (r,):
                 raise ShapeError(f"{name} must have length {r}")
-        for name, marg in (("row", self.row), ("col", self.col)):
-            if abs(float(marg.sum()) - 1.0) > _INVARIANT_TOL:
-                raise DomainError(f"{name} marginal does not sum to 1")
-        for cum, surv, name in (
-            (self.row_cum, self.row_surv, "row"),
-            (self.col_cum, self.col_surv, "col"),
-        ):
-            # s_i = 1 - F_{i-1} with F_0 = 0
-            prev = np.concatenate(([0.0], cum[:-1]))
-            if np.max(np.abs(surv - (1.0 - prev))) > _INVARIANT_TOL:
-                raise DomainError(f"{name} survivals are inconsistent with cumulatives")
-            if np.any(np.diff(surv) > 0.0):
-                raise DomainError(f"{name} survivals must be nonincreasing")
+        _check_marginals(
+            self.row, self.col, self.row_cum, self.col_cum, self.row_surv, self.col_surv
+        )
 
     @property
     def r(self) -> int:
@@ -213,14 +255,7 @@ class HazardPair:
         for name in ("omega_y", "exhausted_x", "exhausted_y"):
             if getattr(self, name).shape != (m,):
                 raise ShapeError(f"{name} must have length {m}")
-        for omega, flag, name in (
-            (self.omega_x, self.exhausted_x, "omega_x"),
-            (self.omega_y, self.exhausted_y, "omega_y"),
-        ):
-            if np.any(omega < 0.0) or np.any(omega > 1.0):
-                raise DomainError(f"{name} entries must lie in [0, 1]")
-            if np.any(omega[flag] != 0.0):
-                raise DomainError(f"exhausted {name} entries must be 0 by convention")
+        _check_hazards(self.omega_x, self.omega_y, self.exhausted_x, self.exhausted_y)
 
     @property
     def size(self) -> int:
@@ -248,15 +283,14 @@ def marginals(prob: ProbTable) -> MarginalPair:
     forms agree mathematically but the tail sum avoids cancellation when
     the remaining mass is tiny.
     """
-    row = prob.p.sum(axis=1)
-    col = prob.p.sum(axis=0)
+    row, col, row_surv, col_surv = _margins(prob.p)
     return MarginalPair(
         row=row,
         col=col,
         row_cum=np.cumsum(row),
         col_cum=np.cumsum(col),
-        row_surv=_tail_sums(row),
-        col_surv=_tail_sums(col),
+        row_surv=row_surv,
+        col_surv=col_surv,
     )
 
 
@@ -266,20 +300,13 @@ def hazards(marg: MarginalPair) -> HazardPair:
     Indices with s_i = 0 are flagged exhausted and get omega_i = 0; see
     :class:`HazardPair`.
     """
-
-    def one_margin(p: np.ndarray, surv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = surv[:-1]
-        exhausted = s == 0.0
-        safe = np.where(exhausted, 1.0, s)
-        omega = np.where(exhausted, 0.0, p[:-1] / safe)
-        # the ratio cannot exceed 1 mathematically; guard the last ulp
-        return np.minimum(omega, 1.0), exhausted
-
-    omega_x, exhausted_x = one_margin(marg.row, marg.row_surv)
-    omega_y, exhausted_y = one_margin(marg.col, marg.col_surv)
+    omega_x, exhausted_x = _hazard(marg.row, marg.row_surv)
+    omega_y, exhausted_y = _hazard(marg.col, marg.col_surv)
+    # a caller-built MarginalPair may carry survivals a rounding error below
+    # the mass (within its invariant tolerance); guard the last ulp
     return HazardPair(
-        omega_x=omega_x,
-        omega_y=omega_y,
+        omega_x=np.minimum(omega_x, 1.0),
+        omega_y=np.minimum(omega_y, 1.0),
         exhausted_x=exhausted_x,
         exhausted_y=exhausted_y,
     )

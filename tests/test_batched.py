@@ -1,0 +1,365 @@
+"""Batched replicate loops against frozen one-table-at-a-time oracles.
+
+The oracles below are copies of the scalar code that ``bootstrap_ci`` and
+``coverage_study`` ran before their loops were batched: one generator,
+one validated table and one measure evaluation per replicate, and a Wald
+interval from the dense multinomial covariance.  Counts and hits must agree
+exactly; floats may differ by a few ulps, because the batched delta method
+evaluates the variance as an O(r^2) sum.
+"""
+
+import math
+import tracemalloc
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import margshift.inference as inference
+from margshift import (
+    CountTable,
+    CoverageStudySpec,
+    DegenerateMassError,
+    McorScenario,
+    NonDifferentiableError,
+    TooManyDegenerateReplicatesError,
+    bootstrap_ci,
+    coverage_study,
+    phi_of_delta,
+    scenario_table,
+    wald_ci,
+    z_quantile,
+)
+from conftest import ACTIVE_COUNTS
+
+MAX_ULPS = 8
+
+# ---------------------------------------------------------------------------
+# frozen scalar oracles
+# ---------------------------------------------------------------------------
+
+
+def ref_probs(counts):
+    p = counts / int(counts.sum())
+    total = float(p.sum())
+    return p / total if total != 1.0 else p
+
+
+def ref_terms(p):
+    """cells -> marginals -> hazards -> (omega_x, omega_y, surv_x, surv_y, W1, W2)."""
+    row = p.sum(axis=1)
+    col = p.sum(axis=0)
+    surv_x = np.flip(np.cumsum(np.flip(row)))
+    surv_y = np.flip(np.cumsum(np.flip(col)))
+
+    def hazard(mass, surv):
+        s = surv[:-1]
+        exhausted = s == 0.0
+        omega = np.where(exhausted, 0.0, mass[:-1] / np.where(exhausted, 1.0, s))
+        return np.minimum(omega, 1.0)
+
+    omega_x = hazard(row, surv_x)
+    omega_y = hazard(col, surv_y)
+    return omega_x, omega_y, surv_x, surv_y, omega_x * (1 - omega_y), omega_y * (1 - omega_x)
+
+
+def ref_clamp(value, lo, hi):
+    if lo - 1e-12 <= value < lo:
+        return lo
+    if hi < value <= hi + 1e-12:
+        return hi
+    return value
+
+
+def ref_psi_raw(w1, w2, lam):
+    t = w1 + w2
+    total = np.sum(t)
+    keep = t > 0.0
+    x = w1[keep] / t[keep]
+    u = t[keep] / total
+    if abs(lam) < 1e-8:
+        def f(v):
+            out = np.zeros_like(v)
+            pos = v > 0.0
+            out[pos] = v[pos] * np.log(2.0 * v[pos])
+            return out
+
+        g = (f(x) + f(1.0 - x)) / math.log(2.0)
+    else:
+        def f(v):
+            out = np.zeros_like(v)
+            pos = v > 0.0
+            out[pos] = v[pos] * (2.0 * v[pos]) ** lam
+            return out
+
+        g = (f(x) + f(1.0 - x) - 1.0) / math.expm1(lam * math.log(2.0))
+    return float(np.sum(u * g))
+
+
+def ref_value(p, measure, lam):
+    *_, w1, w2 = ref_terms(p)
+    if float(np.sum(w1 + w2)) == 0.0:
+        raise DegenerateMassError("all discordance terms vanish")
+    if measure == "phi":
+        weight = (w1 + w2) / np.sum(w1 + w2)
+        raw = float((4.0 / math.pi) * np.sum(weight * (np.arctan2(w1, w2) - math.pi / 4)))
+        return ref_clamp(raw, -1.0, 1.0)
+    return ref_clamp(ref_psi_raw(w1, w2, lam), 0.0, 1.0)
+
+
+def ref_grad(p, measure, lam):
+    """Analytic gradient; raises NonDifferentiableError tagged with its reason."""
+    omega_x, omega_y, surv_x, surv_y, w1, w2 = ref_terms(p)
+    for name, surv in (("row exhausted", surv_x), ("column exhausted", surv_y)):
+        if np.any(surv[:-1] == 0.0):
+            raise NonDifferentiableError(name)
+    t = w1 + w2
+    if float(np.sum(t)) == 0.0:
+        raise DegenerateMassError("all discordance terms vanish")
+    if np.any(t == 0.0):
+        raise NonDifferentiableError("both vanish")
+    if np.all(w1 == 0.0) or np.all(w2 == 0.0):
+        raise NonDifferentiableError("boundary")
+    total = float(np.sum(t))
+    if measure == "phi":
+        u = t / total
+        theta = np.arctan2(w1, w2)
+        rsq = w1 * w1 + w2 * w2
+        centered = (theta - math.pi / 4) - float(np.sum(u * (theta - math.pi / 4)))
+        g_w1 = (4.0 / math.pi) * (centered / total + u * w2 / rsq)
+        g_w2 = (4.0 / math.pi) * (centered / total - u * w1 / rsq)
+    else:
+        if np.any((w1 == 0.0) | (w2 == 0.0)):
+            raise NonDifferentiableError("psi term vanishes")
+        x = w1 / t
+        value = ref_psi_raw(w1, w2, lam)
+        if abs(lam) < 1e-8:
+            g = (x * np.log(2 * x) + (1 - x) * np.log(2 * (1 - x))) / math.log(2.0)
+            gprime = (np.log(2 * x) - np.log(2 * (1 - x))) / math.log(2.0)
+        else:
+            denom = math.expm1(lam * math.log(2.0))
+            g = (x * (2 * x) ** lam + (1 - x) * (2 * (1 - x)) ** lam - 1.0) / denom
+            gprime = (lam + 1.0) * ((2 * x) ** lam - (2 * (1 - x)) ** lam) / denom
+        g_w1 = (g - value) / total + gprime * w2 / (total * t)
+        g_w2 = (g - value) / total - gprime * w1 / (total * t)
+    g_ox = g_w1 * (1.0 - omega_y) - g_w2 * omega_y
+    g_oy = -g_w1 * omega_x + g_w2 * (1.0 - omega_x)
+    r = p.shape[0]
+
+    def to_marginal(g_omega, omega, surv):
+        g = np.zeros(r)
+        g[: r - 1] = g_omega / surv[: r - 1]
+        running = np.cumsum(g_omega * omega / surv[: r - 1])
+        g[: r - 1] -= running
+        g[r - 1] -= running[-1]
+        return g
+
+    g_row = to_marginal(g_ox, omega_x, surv_x)
+    g_col = to_marginal(g_oy, omega_y, surv_y)
+    return (g_row[:, None] + g_col[None, :]).ravel()
+
+
+def ref_wald(counts, level, measure, lam):
+    p = ref_probs(counts)
+    estimate = ref_value(p, measure, lam)
+    grad = ref_grad(p, measure, lam)
+    vec = p.ravel()
+    cov = np.diag(vec) - np.outer(vec, vec)
+    se = math.sqrt(max(float(grad @ cov @ grad) / int(counts.sum()), 0.0))
+    z = z_quantile(1.0 - (1.0 - level) / 2.0)
+    return estimate - z * se, estimate + z * se
+
+
+def ref_bootstrap(table, level, replicates, seed, measure, lam):
+    n, r = table.n, table.r
+    pvec = ref_probs(table.counts).ravel()
+    values = np.full(replicates, np.nan)
+    degenerate = 0
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(replicates)):
+        rng = np.random.default_rng(child)
+        resampled = CountTable(rng.multinomial(n, pvec).reshape(r, r))
+        try:
+            values[k] = ref_value(ref_probs(resampled.counts), measure, lam)
+        except DegenerateMassError:
+            degenerate += 1
+    if degenerate > 0.01 * replicates:
+        raise TooManyDegenerateReplicatesError(degenerate)
+    kept = np.sort(values[~np.isnan(values)])
+    alpha = 1.0 - level
+    return dict(
+        estimate=ref_value(ref_probs(table.counts), measure, lam),
+        se=float(np.std(kept, ddof=1)),
+        lower=float(np.percentile(kept, 100.0 * alpha / 2.0)),
+        upper=float(np.percentile(kept, 100.0 * (1.0 - alpha / 2.0))),
+        degenerate=degenerate,
+    )
+
+
+def ref_coverage(spec):
+    """(coverage, degenerate count, mean width, refusal reasons seen)."""
+    truth = scenario_table(spec.scenario).p.ravel()
+    r = spec.scenario.r
+    true_value = phi_of_delta(spec.scenario.delta)
+    hits = 0
+    width_total = 0.0
+    reasons = Counter()
+    for child in np.random.SeedSequence(spec.seed).spawn(spec.replicates):
+        counts = np.random.default_rng(child).multinomial(spec.n, truth).reshape(r, r)
+        try:
+            lower, upper = ref_wald(counts, spec.level, "phi", None)
+        except (DegenerateMassError, NonDifferentiableError) as exc:
+            reasons[str(exc)] += 1
+            continue
+        if lower <= true_value <= upper:
+            hits += 1
+        width_total += upper - lower
+    effective = spec.replicates - sum(reasons.values())
+    return hits / effective, sum(reasons.values()), width_total / effective, reasons
+
+
+def assert_ulps(actual, expected, maxulp=MAX_ULPS):
+    np.testing.assert_array_max_ulp(np.float64(actual), np.float64(expected), maxulp=maxulp)
+
+
+def assert_bootstrap_matches(table, replicates, seed, measure="phi", lam=None):
+    ref = ref_bootstrap(table, 0.95, replicates, seed, measure, lam)
+    rep = bootstrap_ci(table, 0.95, replicates, seed, measure, lam)
+    flags = ()
+    if ref["degenerate"]:
+        flags = (f"{ref['degenerate']} of {replicates} bootstrap replicates degenerate (excluded)",)
+    assert rep.degenerate_flags == flags
+    for field in ("estimate", "se", "lower", "upper"):
+        assert_ulps(getattr(rep.ci, field), ref[field])
+    return ref["degenerate"]
+
+
+# ---------------------------------------------------------------------------
+# bootstrap
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "measure, lam", [("phi", None), ("psi", 1.0), ("psi", 0.0), ("psi", -0.5)]
+)
+def test_bootstrap_matches_scalar_loop(measure, lam):
+    # 1500 replicates do not divide the 1024-table chunks of an r = 4 table
+    assert_bootstrap_matches(CountTable(ACTIVE_COUNTS), 1500, 11, measure, lam)
+
+
+@pytest.mark.parametrize("measure, lam", [("phi", None), ("psi", 0.0)])
+def test_bootstrap_counts_degenerate_replicates_like_scalar_loop(measure, lam):
+    # about 0.6% of redraws put all mass in one cell, where the measure is undefined
+    degenerate = assert_bootstrap_matches(CountTable([[95, 2], [2, 1]]), 1000, 3, measure, lam)
+    assert 0 < degenerate <= 10
+
+
+def test_bootstrap_gives_up_like_scalar_loop():
+    table = CountTable([[97, 1], [1, 1]])  # about 5% degenerate redraws
+    with pytest.raises(TooManyDegenerateReplicatesError) as ref:
+        ref_bootstrap(table, 0.95, 400, 0, "phi", None)
+    with pytest.raises(TooManyDegenerateReplicatesError, match=f"^{ref.value.args[0]} of 400 "):
+        bootstrap_ci(table, replicates=400, seed=0)
+
+
+def test_bootstrap_with_one_table_per_chunk():
+    r = 91  # 91^2 cells exceed half the chunk, so each chunk holds one table
+    assert inference._CHUNK_CELLS // (r * r) == 1
+    counts = np.random.default_rng(91).integers(1, 6, size=(r, r))
+    assert_bootstrap_matches(CountTable(counts), 200, 5)
+
+
+# ---------------------------------------------------------------------------
+# coverage
+# ---------------------------------------------------------------------------
+
+# small samples on sparse margins: together they hit every refusal reason
+COVERAGE_SCENARIOS = [
+    ((0.05, 0.05), 0.0, 10, 400, 2),
+    ((0.9, 0.9), 0.0, 10, 300, 4),
+    ((0.3, 0.4, 0.5), 0.5, 500, 1300, 701),  # 1300 does not divide 1024
+]
+
+
+def run_coverage_scenarios():
+    reasons = Counter()
+    for base, delta, n, replicates, seed in COVERAGE_SCENARIOS:
+        spec = CoverageStudySpec(
+            scenario=McorScenario(base_haz_x=np.array(base), delta=delta),
+            n=n, replicates=replicates, level=0.95, seed=seed,
+        )
+        coverage, degenerate, mean_width, seen = ref_coverage(spec)
+        res = coverage_study(spec)
+        assert res.degenerate_count == degenerate
+        assert res.coverage == coverage  # same hits over the same denominator
+        assert_ulps(res.mean_width, mean_width)
+        reasons.update(seen)
+    return reasons
+
+
+def test_coverage_matches_scalar_loop():
+    reasons = run_coverage_scenarios()
+    assert set(reasons) == {
+        "row exhausted",
+        "column exhausted",
+        "all discordance terms vanish",
+        "both vanish",
+        "boundary",
+    }
+
+
+def test_coverage_refuses_when_every_replicate_is_degenerate():
+    spec = CoverageStudySpec(
+        scenario=McorScenario(base_haz_x=np.array([0.05]), delta=-3.0),
+        n=10, replicates=100, seed=4,
+    )
+    with pytest.raises(DegenerateMassError, match="every replicate was degenerate"):
+        coverage_study(spec)
+
+
+# ---------------------------------------------------------------------------
+# chunking
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cells", [16, 7 * 16])
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch, cells):
+    table = CountTable(ACTIVE_COUNTS)
+    spec = CoverageStudySpec(
+        scenario=McorScenario(base_haz_x=np.array([0.05, 0.05]), delta=0.0),
+        n=10, replicates=300, seed=2,
+    )
+    boot = bootstrap_ci(table, replicates=500, seed=9, measure="psi", lam=1.0)
+    cov = coverage_study(spec)
+    monkeypatch.setattr(inference, "_CHUNK_CELLS", cells)  # 1 and 7 tables of 16 cells
+    assert bootstrap_ci(table, replicates=500, seed=9, measure="psi", lam=1.0) == boot
+    assert coverage_study(spec) == cov
+
+
+# ---------------------------------------------------------------------------
+# memory at large r
+# ---------------------------------------------------------------------------
+
+
+def traced_peak_mb(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_wald_ci_at_r150_needs_no_dense_covariance():
+    # the dense r^2 x r^2 covariance would be 22500^2 doubles, about 4 GB
+    r = 150
+    counts = np.random.default_rng(150).integers(1, 30, size=(r, r))
+    peak = traced_peak_mb(wald_ci, CountTable(counts))
+    assert peak < 8.0
+
+
+def test_bootstrap_memory_is_bounded_by_the_chunk():
+    # all 200 tables at once would hold 200 x 100^2 cells, 15 MB per array
+    r = 100
+    table = CountTable(np.random.default_rng(100).integers(1, 6, size=(r, r)))
+    peak = traced_peak_mb(bootstrap_ci, table, replicates=200, seed=0)
+    assert peak < 8.0

@@ -1,6 +1,7 @@
 """Covariance, gradients, Wald and bootstrap intervals, group comparison."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from margshift import (
     wald_ci,
     z_quantile,
 )
-from margshift.inference import _grad_fd_psi, _grad_psi
+from margshift.inference import _grad_psi
 from conftest import random_positive_table
 
 # high-precision standard normal quantiles, frozen as test oracles
@@ -143,7 +144,7 @@ class TestGradients:
         p = flat(active_table)
         for lam in (-0.5, 0.0, 1.0, 2.0):
             an = _grad_psi(p, lam)
-            fd = _grad_fd_psi(p, lam)
+            fd = grad_fd(p, measure="psi", lam=lam)
             assert rel_gradient_error(fd, an) < 1e-6
 
 
@@ -166,6 +167,10 @@ class TestZQuantile:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(DomainError):
                 z_quantile(bad)
+
+    def test_far_tail(self):
+        q = 1.0 - 1e-12
+        assert z_quantile(q) == pytest.approx(NormalDist().inv_cdf(q), abs=1e-12)
 
 
 class TestWaldCI:
@@ -213,6 +218,19 @@ class TestWaldCI:
         wide = wald_ci(active_table, 0.99)
         ratio = (wide.ci.upper - wide.ci.lower) / (narrow.ci.upper - narrow.ci.lower)
         assert ratio == pytest.approx(Z_995 / Z_95, rel=1e-12)
+
+    def test_se_matches_the_dense_covariance(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            table = random_positive_table(rng, int(rng.integers(2, 7)))
+            p = flat(table)
+            xi = multinomial_covariance(p)
+            for measure, lam, grad in (
+                ("phi", None, grad_phi(p)),
+                ("psi", 0.5, _grad_psi(p, 0.5)),
+            ):
+                se = wald_ci(table, measure=measure, lam=lam).ci.se
+                assert se == pytest.approx(math.sqrt(grad @ xi @ grad / table.n), rel=1e-12)
 
     def test_psi_interval(self, active_table):
         rep = wald_ci(active_table, 0.95, "psi", 1.0)
