@@ -77,6 +77,21 @@ _DEGENERATE_REPLICATE_CAP = 0.01
 # many cells (at least one table), which bounds their working memory.
 _CHUNK_CELLS = 1 << 14
 
+# Replicate k of a seeded loop draws from the generator
+# default_rng(SeedSequence(seed).spawn(...)[k]).  Its seed is derived with
+# numpy's SeedSequence hash (pool of four 32-bit words) and turned into a
+# PCG64 state by PCG64's seeding rule, _SEED_BLOCK replicates at a time.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_BLOCK = 1024
+# spawn keys from 2^32 on take two words, which _child_seeds does not hash
+_MAX_REPLICATES = 1 << 32
+
 
 @dataclass(frozen=True)
 class ConfInterval:
@@ -333,19 +348,101 @@ def _chunks(count: int, r: int):
         yield start, min(start + size, count)
 
 
+def _child_seeds(seed: int, keys) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)`` for
+    every key k, as one (len(keys), 4) uint64 array.
+
+    numpy's hash on columns of 32-bit words: the seed's little-endian words,
+    zero-padded to the pool size, then the key's one word.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    if int(keys.max()) > _MASK32:
+        raise DomainError("spawn keys must lie below 2^32")
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(1, w, dtype=np.uint32) for w in words] + [keys.astype(np.uint32)]
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(e) for e in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(e))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):  # four uint64 words from eight uint32 ones
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        state.append(value ^ (value >> 16))
+    return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _replicate_states(seed: int, replicates: int):
+    """PCG64 states of the generators of replicates 0, 1, ..., in order.
+
+    ``default_rng(child)`` seeds PCG64 from ``child.generate_state(4, np.uint64)``
+    = (s_hi, s_lo, i_hi, i_lo) with inc = (i << 1) | 1 and
+    state = ((inc + s) * MULT + inc) mod 2^128.  The first and last state of
+    every block are checked against numpy's own construction.
+    """
+    for lo in range(0, replicates, _SEED_BLOCK):
+        hi = min(lo + _SEED_BLOCK, replicates)
+        states = []
+        for s_hi, s_lo, i_hi, i_lo in _child_seeds(seed, np.arange(lo, hi)).tolist():
+            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0})
+        for k, state in ((lo, states[0]), (hi - 1, states[-1])):
+            child = np.random.SeedSequence(seed, spawn_key=(k,))
+            if np.random.PCG64(child).state != state:
+                raise RuntimeError(
+                    f"the generator state derived for replicate {k} of seed {seed} differs "
+                    "from numpy's SeedSequence/PCG64; this numpy changed its seeding"
+                )
+        yield from states
+
+
 def _resample(p: np.ndarray, n: int, replicates: int, seed: int):
     """Multinomial tables of size n over the cells p, as (b, r, r) count stacks.
 
-    Replicate k draws from the generator spawned from ``SeedSequence(seed)``
-    at position k; spawning chunk by chunk from one root keeps that stream.
+    Replicate k draws from the generator that ``default_rng`` builds from the
+    k-th child spawned by ``SeedSequence(seed)``.  Instead of building those
+    objects, one PCG64 is set to each replicate's state in turn (see
+    :func:`_replicate_states`), so the stream is the same, draw for draw.
     """
     r = p.shape[-1]
     flat = p.ravel()
-    root = np.random.SeedSequence(seed)
+    states = _replicate_states(seed, replicates)
+    bits = np.random.PCG64(seed)
+    gen = np.random.Generator(bits)
     for lo, hi in _chunks(replicates, r):
         draws = np.empty((hi - lo, r * r), dtype=np.int64)
-        for k, child in enumerate(root.spawn(hi - lo)):
-            draws[k] = np.random.default_rng(child).multinomial(n, flat)
+        for row, state in zip(draws, states):  # draws first, so no state is skipped
+            bits.state = state
+            row[:] = gen.multinomial(n, flat)
         yield draws.reshape(-1, r, r)
 
 
@@ -437,12 +534,14 @@ def bootstrap_ci(
     :class:`TooManyDegenerateReplicatesError` rather than quietly reporting
     a biased interval.
 
-    Deterministic for a fixed seed: replicate k uses a generator spawned
-    from ``SeedSequence(seed)`` at position k, and aggregation (counts plus
-    sorted percentile extraction) does not depend on evaluation order.
-    Replicates are drawn and evaluated in bounded chunks; the generators are
-    spawned chunk by chunk from the one root, so the stream, and with it
-    every reported number, is the same as one replicate at a time.
+    Deterministic for a fixed seed: replicate k draws from the generator
+    ``default_rng`` builds from the k-th child spawned by
+    ``SeedSequence(seed)``, and aggregation (counts plus sorted percentile
+    extraction) does not depend on evaluation order.  Replicates are drawn
+    and evaluated in bounded chunks; the children's seeds are derived a
+    block at a time and one generator is set to each replicate's state in
+    turn, so the stream, and with it every reported number, is the same as
+    one spawned generator per replicate.
     """
     if not isinstance(table, CountTable):
         table = CountTable(table)
@@ -451,6 +550,8 @@ def bootstrap_ci(
     replicates = int(replicates)
     if replicates < 200:
         raise DomainError(f"bootstrap needs at least 200 replicates, got {replicates}")
+    if replicates > _MAX_REPLICATES:
+        raise DomainError(f"bootstrap takes at most 2^32 replicates, got {replicates}")
     seed = int(seed)
     if seed < 0:
         raise DomainError("seed must be a nonnegative integer")

@@ -123,14 +123,10 @@ def delta_of_phi(phi_val: float) -> float:
 
 
 def _marginal_from_hazards(omega: np.ndarray) -> np.ndarray:
-    r = omega.shape[0] + 1
-    p = np.empty(r)
-    s = 1.0
-    for i in range(r - 1):
-        p[i] = s * omega[i]
-        s *= 1.0 - omega[i]
-    p[r - 1] = s  # last category absorbs the remaining survival
-    return p
+    # survivals s_0 = 1, s_{i+1} = s_i (1 - omega_i), multiplied in that order
+    surv = np.cumprod(np.concatenate(([1.0], 1.0 - omega)))
+    # p_i = s_i omega_i; the last category absorbs the remaining survival
+    return np.append(surv[:-1] * omega, surv[-1])
 
 
 def scenario_table(scenario: McorScenario) -> ProbTable:

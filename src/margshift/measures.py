@@ -120,6 +120,13 @@ def _check_lambda(lam: float) -> float:
     lam = float(lam)
     if not math.isfinite(lam) or lam <= -1.0:
         raise DomainError(f"lambda must be a finite number > -1, got {lam!r}")
+    # the psi gradient forms (lambda + 1) (2x)^lambda, x <= 1, before dividing
+    # by 2^lambda - 1; beyond 2^lambda itself it overflows from about 1014 on
+    if lam >= 1024.0 or math.isinf((lam + 1.0) * 2.0**lam):
+        raise DomainError(
+            f"lambda must be small enough that (lambda + 1) 2^lambda is finite "
+            f"(below about 1014), got {lam!r}"
+        )
     return lam
 
 

@@ -3,10 +3,11 @@
 A coverage study draws tables from a shift-model population
 (:func:`margshift.mcor.scenario_table`), computes a delta-method interval
 per table, and reports the fraction of intervals containing the true phi.
-Replicates are independent units of work: replicate k draws its generator
-from ``SeedSequence(seed)`` at position k and the aggregation (hit counts,
-width totals) is order-insensitive, so results are reproducible for a
-fixed seed regardless of evaluation order.
+Replicates are independent units of work: replicate k draws from the
+generator ``default_rng`` builds from the k-th child spawned by
+``SeedSequence(seed)``, and the aggregation (hit counts, width totals) is
+order-insensitive, so results are reproducible for a fixed seed regardless
+of evaluation order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMassError, DomainError
-from .inference import _delta, _refused, _resample, z_quantile
+from .inference import _MAX_REPLICATES, _delta, _refused, _resample, z_quantile
 from .mcor import McorScenario, phi_of_delta, scenario_table
 from .tables import CountTable, ProbTable
 
@@ -27,6 +28,16 @@ __all__ = [
     "CoverageResult",
     "coverage_study",
 ]
+
+# numpy's multinomial takes the sample size as an int64
+_MAX_SAMPLE_SIZE = 2**63 - 1
+
+
+def _check_sample_size(n: int, floor: int) -> int:
+    n = int(n)
+    if not floor <= n <= _MAX_SAMPLE_SIZE:
+        raise DomainError(f"sample size must lie in [{floor}, 2^63 - 1], got {n}")
+    return n
 
 
 def sample_table(prob: ProbTable, n: int, seed) -> CountTable:
@@ -43,9 +54,7 @@ def sample_table(prob: ProbTable, n: int, seed) -> CountTable:
     """
     if not isinstance(prob, ProbTable):
         prob = ProbTable(prob)
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
+    n = _check_sample_size(n, 1)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     counts = rng.multinomial(n, prob.p.ravel()).reshape(prob.r, prob.r)
     return CountTable(counts)
@@ -64,15 +73,13 @@ class CoverageStudySpec:
     def __post_init__(self) -> None:
         if not isinstance(self.scenario, McorScenario):
             raise DomainError("scenario must be an McorScenario")
-        if int(self.replicates) < 100:
-            raise DomainError(f"replicates must be >= 100, got {self.replicates}")
-        if int(self.n) < 10:
-            raise DomainError(f"sample size must be >= 10, got {self.n}")
+        if not 100 <= int(self.replicates) <= _MAX_REPLICATES:
+            raise DomainError(f"replicates must lie in [100, 2^32], got {self.replicates}")
+        object.__setattr__(self, "n", _check_sample_size(self.n, 10))
         if not (0.0 < float(self.level) < 1.0):
             raise DomainError(f"level must lie in (0, 1), got {self.level!r}")
         if int(self.seed) < 0:
             raise DomainError("seed must be a nonnegative integer")
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "level", float(self.level))
         object.__setattr__(self, "seed", int(self.seed))
@@ -121,9 +128,10 @@ def coverage_study(spec: CoverageStudySpec) -> CoverageResult:
     The truth is the scenario's closed-form phi; each replicate samples a
     table from the scenario population and asks whether its interval
     contains the truth.  Replicates are drawn and evaluated in bounded
-    chunks; their generators are spawned chunk by chunk from one
-    ``SeedSequence(seed)``, so the stream is the same as one replicate at a
-    time.
+    chunks by the bootstrap's sampler (``inference._resample``): one
+    generator is set to each replicate's state, derived from
+    ``SeedSequence(seed)`` a block at a time, so the stream is the same as
+    one spawned generator per replicate.
     """
     if not isinstance(spec, CoverageStudySpec):
         raise DomainError("spec must be a CoverageStudySpec")

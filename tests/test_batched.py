@@ -6,6 +6,10 @@ one validated table and one measure evaluation per replicate, and a Wald
 interval from the dense multinomial covariance.  Counts and hits must agree
 exactly; floats may differ by a few ulps, because the batched delta method
 evaluates the variance as an O(r^2) sum.
+
+The replicate draws themselves must agree bit for bit with one spawned
+generator per replicate (``spawn_loop``), which ``inference._resample``
+reproduces without building those generators.
 """
 
 import math
@@ -20,6 +24,7 @@ from margshift import (
     CountTable,
     CoverageStudySpec,
     DegenerateMassError,
+    DomainError,
     McorScenario,
     NonDifferentiableError,
     TooManyDegenerateReplicatesError,
@@ -168,6 +173,13 @@ def ref_wald(counts, level, measure, lam):
     se = math.sqrt(max(float(grad @ cov @ grad) / int(counts.sum()), 0.0))
     z = z_quantile(1.0 - (1.0 - level) / 2.0)
     return estimate - z * se, estimate + z * se
+
+
+def spawn_loop(p, n, replicates, seed):
+    """(replicates, r^2) draws, one generator spawned from SeedSequence(seed) each."""
+    flat = p.ravel()
+    children = np.random.SeedSequence(seed).spawn(replicates)
+    return np.array([np.random.default_rng(child).multinomial(n, flat) for child in children])
 
 
 def ref_bootstrap(table, level, replicates, seed, measure, lam):
@@ -363,3 +375,79 @@ def test_bootstrap_memory_is_bounded_by_the_chunk():
     table = CountTable(np.random.default_rng(100).integers(1, 6, size=(r, r)))
     peak = traced_peak_mb(bootstrap_ci, table, replicates=200, seed=0)
     assert peak < 8.0
+
+
+def test_bootstrap_seed_memory_is_bounded_by_the_block():
+    # all 20 000 generator states at once peak at about 13.5 MB, one block at a time 1.8 MB
+    peak = traced_peak_mb(bootstrap_ci, CountTable(ACTIVE_COUNTS), replicates=20_000, seed=0)
+    assert peak < 4.0
+
+
+# ---------------------------------------------------------------------------
+# replicate streams
+# ---------------------------------------------------------------------------
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 1, 2**200]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_child_seeds_match_numpy(seed):
+    block = inference._SEED_BLOCK
+    keys = np.concatenate((np.arange(block - 40, block + 40), [2**32 - 1]))
+    expected = [
+        np.random.SeedSequence(seed, spawn_key=(int(k),)).generate_state(4, np.uint64)
+        for k in keys
+    ]
+    derived = inference._child_seeds(seed, keys)
+    assert derived.dtype == np.uint64
+    np.testing.assert_array_equal(derived, expected)
+
+
+@pytest.mark.parametrize("r, replicates, seed", [(4, 2100, 2**64 - 1), (60, 1030, 7)])
+def test_resample_matches_the_spawn_loop(r, replicates, seed):
+    # 2100 and 1030 replicates cross seed blocks; at r = 60 a chunk holds 4 tables
+    p = np.random.default_rng(r).random((r, r))
+    p /= p.sum()
+    n = 20 * r * r
+    draws = np.concatenate(list(inference._resample(p, n, replicates, seed)))
+    assert draws.dtype == np.int64
+    np.testing.assert_array_equal(draws.reshape(replicates, r * r), spawn_loop(p, n, replicates, seed))
+
+
+@pytest.mark.parametrize("constant", ["_MIX_MULT_L", "_PCG64_MULT"])
+def test_a_seed_derivation_that_drifts_from_numpy_is_refused(monkeypatch, constant):
+    monkeypatch.setattr(inference, constant, getattr(inference, constant) ^ 2)
+    with pytest.raises(RuntimeError, match="differs from numpy"):
+        bootstrap_ci(CountTable(ACTIVE_COUNTS), replicates=200, seed=0)
+
+
+def test_replicate_counts_beyond_one_word_spawn_keys_are_refused():
+    # key 2^32 would need a two-word spawn key
+    with pytest.raises(DomainError, match="2\\^32"):
+        inference._child_seeds(0, [2**32])
+    with pytest.raises(DomainError, match="2\\^32"):
+        bootstrap_ci(CountTable(ACTIVE_COUNTS), replicates=2**32 + 1)
+    with pytest.raises(DomainError, match="2\\^32"):
+        CoverageStudySpec(
+            scenario=McorScenario(base_haz_x=np.array([0.5]), delta=0.0),
+            n=10, replicates=2**32 + 1,
+        )
+
+
+@pytest.mark.parametrize("r, replicates", [(4, 5000), (60, 1100)])
+def test_seeds_are_derived_one_block_at_a_time(monkeypatch, r, replicates):
+    calls = []
+    derive = inference._child_seeds
+
+    def spy(seed, keys):
+        calls.append(np.array(keys))
+        return derive(seed, keys)
+
+    monkeypatch.setattr(inference, "_child_seeds", spy)
+    counts = np.random.default_rng(r).integers(1, 6, size=(r, r))
+    bootstrap_ci(CountTable(counts), replicates=replicates, seed=3)
+    block = inference._SEED_BLOCK
+    assert block >= 1024  # a derivation per 4-table chunk made r = 60 bootstraps slower
+    sizes = [len(keys) for keys in calls]
+    assert sizes[:-1] == [block] * (len(sizes) - 1) and 0 < sizes[-1] <= block
+    np.testing.assert_array_equal(np.concatenate(calls), np.arange(replicates))

@@ -28,6 +28,18 @@ def validate(report: dict, schema: dict) -> None:
     jsonschema.validate(report, schema, cls=jsonschema.Draft202012Validator)
 
 
+def run_cli(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "margshift.cli", *args], capture_output=True, text=True
+    )
+
+
+def assert_clean_error(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def write_counts(path: Path, counts) -> str:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -162,6 +174,12 @@ class TestEstimate:
         assert main(["estimate", active_csv, "--measure", "psi"]) == 1
         assert "lambda" in capsys.readouterr().err
 
+    def test_overflowing_lambda_exits_one(self, active_csv):
+        # 2^1100 overflows a double
+        proc = run_cli("estimate", active_csv, "--measure", "psi:1100")
+        assert_clean_error(proc)
+        assert "lambda" in proc.stderr
+
     def test_json_to_stdout_is_pure(self, active_csv, capsys, schema):
         assert main(["estimate", active_csv, "--json", "-"]) == 0
         report = json.loads(capsys.readouterr().out)  # no human prefix
@@ -268,6 +286,11 @@ class TestSimulate:
 
     def test_replicate_floor_exits_one(self):
         assert main(["simulate", "--replicates", "50", "--n", "100"]) == 1
+
+    def test_sample_size_beyond_int64_exits_one(self):
+        proc = run_cli("simulate", "--delta=0", "--n", str(10**20), "--replicates", "100")
+        assert_clean_error(proc)
+        assert "sample size" in proc.stderr
 
     def test_config_file_with_flag_override(self, tmp_path, schema):
         cfg = tmp_path / "study.cfg"

@@ -25,6 +25,7 @@ from margshift import (
     z_quantile,
 )
 from margshift.inference import _grad_psi
+from margshift.measures import _check_lambda
 from conftest import random_positive_table
 
 # high-precision standard normal quantiles, frozen as test oracles
@@ -248,6 +249,33 @@ class TestWaldCI:
             wald_ci(active_table, 0.95, "tau")
         with pytest.raises(DomainError):
             wald_ci(active_table, 0.95, "psi")  # lambda missing
+
+
+def largest_accepted_lambda() -> float:
+    lo, hi = 1000.0, 1024.0
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2.0
+        try:
+            _check_lambda(mid)
+            lo = mid
+        except DomainError:
+            hi = mid
+    return lo
+
+
+def test_largest_accepted_lambda_gives_finite_value_gradient_and_se(active_table):
+    lam = largest_accepted_lambda()
+    assert 1014.0 < lam < 1014.1
+    with pytest.raises(DomainError):
+        _check_lambda(math.nextafter(lam, math.inf))
+    # the second table is one-sided: W1/(W1 + W2) is 1 - 2e-10 at its one index,
+    # where the gradient's (lambda + 1) (2x)^lambda is largest
+    for table in (active_table, CountTable([[1, 100000], [1, 0]])):
+        rep = wald_ci(table, measure="psi", lam=lam)
+        grad = _grad_psi(flat(table), lam)
+        assert np.all(np.isfinite(grad))
+        assert all(map(math.isfinite, (rep.ci.estimate, rep.ci.se, rep.ci.lower, rep.ci.upper)))
+        assert math.isfinite(rep.gradient_norm)
 
 
 class TestBootstrapCI:

@@ -19,6 +19,7 @@ from margshift import (
     phi_of_delta,
     scenario_table,
 )
+from margshift.mcor import _marginal_from_hazards
 
 
 class TestPhiOfDelta:
@@ -131,6 +132,25 @@ class TestScenario:
             s = McorScenario(base_haz_x=base, delta=delta)
             via_table = phi(discordance(hazards(marginals(scenario_table(s)))))
             assert via_table == pytest.approx(phi_of_delta(delta), abs=1e-10)
+
+
+def marginal_loop(omega):
+    """The survival recursion one index at a time, the oracle for the cumprod form."""
+    r = omega.shape[0] + 1
+    p = np.empty(r)
+    s = 1.0
+    for i in range(r - 1):
+        p[i] = s * omega[i]
+        s *= 1.0 - omega[i]
+    p[r - 1] = s
+    return p
+
+
+def test_marginal_from_hazards_is_the_survival_recursion():
+    rng = np.random.default_rng(4)
+    for _ in range(500):
+        omega = rng.random(int(rng.integers(1, 120)))
+        np.testing.assert_array_equal(_marginal_from_hazards(omega), marginal_loop(omega))
 
 
 class TestCurveGrid:

@@ -180,6 +180,11 @@ class TestPsi:
             psi(d, -1.5)
         with pytest.raises(DomainError):
             psi(d, float("nan"))
+        for lam in (1024.0, 1100.0, 1e308):  # 2^lambda overflows a double
+            with pytest.raises(DomainError, match="2\\^lambda"):
+                psi(d, lam)
+        with pytest.raises(DomainError, match="2\\^lambda"):
+            psi(d, 1015.0)  # 2^lambda is finite, (lambda + 1) 2^lambda is not
 
     def test_lambda_continuity_at_zero(self, active_table):
         """The generic branch converges to the analytic limit branch.

@@ -46,6 +46,13 @@ class TestSampleTable:
         with pytest.raises(DomainError):
             sample_table(ProbTable(np.full((2, 2), 0.25)), 0, seed=0)
 
+    def test_sample_size_ceiling(self):
+        # numpy's multinomial takes an int64 sample size
+        p = ProbTable(np.full((2, 2), 0.25))
+        assert sample_table(p, 2**63 - 1, seed=0).n == 2**63 - 1
+        with pytest.raises(DomainError, match="2\\^63 - 1"):
+            sample_table(p, 2**63, seed=0)
+
 
 class TestCoverageStudySpec:
     def test_invariants(self):
@@ -55,6 +62,8 @@ class TestCoverageStudySpec:
             spec(replicates=99)
         with pytest.raises(DomainError):
             spec(n=9)
+        with pytest.raises(DomainError):
+            spec(n=10**20)
         with pytest.raises(DomainError):
             spec(level=1.0)
         with pytest.raises(DomainError):
