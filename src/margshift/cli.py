@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import sys
@@ -47,7 +48,8 @@ from .errors import (
 from .inference import EstimateReport, _plugin_estimate, bootstrap_ci, compare_groups, wald_ci
 from .mcor import McorScenario, curve_grid
 from .simulate import CoverageStudySpec, coverage_study
-from .tables import CountTable, from_counts  # noqa: F401 -- bench/selftest.py traces it here
+from .tables import _MAX_COUNT, CountTable
+from .tables import from_counts  # noqa: F401 -- bench/selftest.py traces it here
 
 SCHEMA_VERSION = "1"
 
@@ -88,7 +90,8 @@ def parse_table_csv(path: str) -> CountTable:
     guessing what was meant.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet tools write
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             raw = [[cell.strip() for cell in row] for row in csv.reader(fh)]
     except OSError as exc:
         raise TableParseError(f"{path}: {exc.strerror or exc}") from exc
@@ -124,6 +127,10 @@ def parse_table_csv(path: str) -> CountTable:
             if value < 0:
                 raise TableParseError(
                     f"{path}:{line}: column {col}: negative count {value}"
+                )
+            if value > _MAX_COUNT:
+                raise TableParseError(
+                    f"{path}:{line}: column {col}: count {value} exceeds 2^63 - 1"
                 )
             vals.append(value)
         data.append(vals)
@@ -263,7 +270,8 @@ def cmd_estimate(args, argv) -> int:
             print("warning: interval endpoints leave the measure's logical range")
         for flag in rep.degenerate_flags:
             print(f"note: {flag}")
-        print(f"note: {ORIENTATION_NOTE}")
+        if measure == "phi":  # psi is blind to the direction of the shift
+            print(f"note: {ORIENTATION_NOTE}")
 
     if args.json:
         report = _make_report("estimate", argv, [args.table], seed, _estimate_dict(rep))
@@ -517,5 +525,17 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Run :func:`main` as the whole life of a process and exit with its code."""
+    # The objects numpy and margshift create at import live until the process
+    # exits.  Freezing them before any work keeps them out of every collection,
+    # the one at interpreter exit included, which otherwise walks the whole
+    # import-time heap; what the command allocates stays collectable.  main()
+    # itself never freezes: callers that run it in-process would keep their
+    # heaps pinned.
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -532,7 +531,10 @@ def bootstrap_ci(
     frequencies.  Replicates where the measure is degenerate are counted
     and excluded; more than 1% of them aborts with
     :class:`TooManyDegenerateReplicatesError` rather than quietly reporting
-    a biased interval.
+    a biased interval.  The endpoints are the alpha/2 and 1 - alpha/2
+    percentiles of the sorted kept replicates by numpy's 'linear' rule:
+    with v = (m - 1) q over m kept values, the values at floor(v) and
+    floor(v) + 1 interpolated at the fraction of v (see :func:`_percentile`).
 
     Deterministic for a fixed seed: replicate k draws from the generator
     ``default_rng`` builds from the k-th child spawned by
@@ -573,8 +575,8 @@ def bootstrap_ci(
 
     kept = np.sort(values[~np.isnan(values)])
     alpha = 1.0 - level
-    lower = float(np.percentile(kept, 100.0 * alpha / 2.0))
-    upper = float(np.percentile(kept, 100.0 * (1.0 - alpha / 2.0)))
+    lower = _percentile(kept, 100.0 * alpha / 2.0)
+    upper = _percentile(kept, 100.0 * (1.0 - alpha / 2.0))
     se = float(np.std(kept, ddof=1))
     estimate = _plugin_estimate(table, measure, lam)
     flags = ()
@@ -597,6 +599,25 @@ def bootstrap_ci(
         gradient_norm=None,
         degenerate_flags=flags,
     )
+
+
+def _percentile(ordered: np.ndarray, pct: float) -> float:
+    """``np.percentile(ordered, pct)`` (method 'linear') of an ascending array.
+
+    The same arithmetic as numpy's, so the result is the same to the bit,
+    without sorting again or importing what np.percentile pulls in.
+    """
+    n = ordered.shape[0]
+    virtual = (n - 1) * (pct / 100.0)
+    if virtual >= n - 1:
+        return float(ordered[-1])
+    prev = math.floor(virtual)
+    t = virtual - prev
+    a = float(ordered[prev])
+    b = float(ordered[prev + 1])
+    d = b - a
+    # numpy's _lerp: interpolate from whichever end is nearer
+    return a + d * t if t < 0.5 else b - d * (1.0 - t)
 
 
 def compare_groups(
@@ -644,12 +665,15 @@ def compare_groups(
     )
 
 
-_STANDARD_NORMAL = NormalDist()
-
-
 def z_quantile(q: float) -> float:
-    """Standard normal quantile on (0, 1), from :class:`statistics.NormalDist`."""
+    """Standard normal quantile on (0, 1), from :class:`statistics.NormalDist`.
+
+    ``statistics`` is imported on the first call, not with this module: a
+    bootstrap never needs it, and a one-shot CLI process pays for every import.
+    """
+    from statistics import NormalDist
+
     q = float(q)
     if not (0.0 < q < 1.0):
         raise DomainError(f"quantile level must lie in (0, 1), got {q!r}")
-    return _STANDARD_NORMAL.inv_cdf(q)
+    return NormalDist().inv_cdf(q)

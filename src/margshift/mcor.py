@@ -34,6 +34,9 @@ __all__ = [
     "curve_grid",
 ]
 
+# the largest grid curve_grid tabulates; it builds every point in memory
+_MAX_CURVE_POINTS = 10**6
+
 
 def _logit(w: np.ndarray) -> np.ndarray:
     return np.log(w) - np.log1p(-w)
@@ -156,8 +159,8 @@ def curve_grid(
     Raises
     ------
     DomainError
-        If the range is empty or degenerate (fewer than two points), or
-        step <= 0, or any bound is not finite.
+        If the range is empty or degenerate (fewer than two points), or has
+        more than 10^6 points, or step <= 0, or any bound is not finite.
     """
     delta_min = float(delta_min)
     delta_max = float(delta_max)
@@ -170,7 +173,12 @@ def curve_grid(
         raise DomainError(
             f"delta_min must be smaller than delta_max, got [{delta_min!r}, {delta_max!r}]"
         )
-    count = int(math.floor((delta_max - delta_min) / step + 1e-9)) + 1
+    span = (delta_max - delta_min) / step + 1e-9  # inf when the width overflows
+    if not span < _MAX_CURVE_POINTS:
+        raise DomainError(
+            f"grid has more than {_MAX_CURVE_POINTS} points; increase step"
+        )
+    count = int(math.floor(span)) + 1
     if count < 2:
         raise DomainError("grid is degenerate: fewer than two points; reduce step")
     points = []

@@ -42,6 +42,9 @@ PROB_SUM_TOL = 1e-9
 
 _INVARIANT_TOL = 1e-12
 
+# counts and the totals of count tables are held in int64
+_MAX_COUNT = 2**63 - 1
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -67,7 +70,17 @@ def _check_counts(arr: np.ndarray) -> np.ndarray:
         raise DomainError(f"counts must be integers, got dtype {arr.dtype}")
     if np.any(arr < 0):
         raise DomainError("counts must be nonnegative")
+    # refused before the cast and the sums, which would wrap silently
+    top = int(arr.max())
+    if top > _MAX_COUNT:
+        raise DomainError(f"counts must not exceed 2^63 - 1, got {top}")
     arr = arr.astype(np.int64)
+    if top * arr.shape[-1] * arr.shape[-2] > _MAX_COUNT:  # a total may overflow
+        totals = arr.astype(object).sum(axis=(-2, -1))
+        if np.any(totals > _MAX_COUNT):
+            raise DomainError(
+                f"count table totals must not exceed 2^63 - 1, got {max(np.ravel(totals))}"
+            )
     if np.any(arr.sum(axis=(-2, -1)) == 0):
         raise ZeroTotalError("count table sums to zero")
     return arr

@@ -1,6 +1,7 @@
 """Command line behavior: parsing, exit codes, reports, schema validity."""
 
 import csv
+import gc
 import json
 import subprocess
 import sys
@@ -107,6 +108,28 @@ class TestTableIO:
         with pytest.raises(TableParseError):
             parse_table_csv(str(tmp_path / "nope.csv"))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # "CSV UTF-8" as spreadsheet tools save it
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        assert parse_table_csv(str(path)) == CountTable([[1, 2], [3, 4]])
+
+    def test_count_beyond_int64_position(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1,2\n3,99999999999999999999\n")
+        with pytest.raises(TableParseError, match=r"big\.csv:2: column 2: .*2\^63 - 1"):
+            parse_table_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "text", ["1,2\n3,99999999999999999999\n", f"{2**62},{2**62}\n{2**62},{2**62}\n"]
+    )
+    def test_oversized_tables_exit_one_without_traceback(self, tmp_path, text):
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        proc = run_cli("estimate", str(path))
+        assert_clean_error(proc)
+        assert "2^63 - 1" in proc.stderr
+
 
 class TestEstimate:
     def test_reproduces_published_values(self, active_csv, tmp_path, capsys, schema):
@@ -144,6 +167,15 @@ class TestEstimate:
         assert report["results"]["measure"] == "psi"
         assert report["results"]["lambda"] == 1.0
         assert 0.0 < report["results"]["estimate"] < 1.0
+
+    def test_orientation_note_follows_phi_only(self, active_csv, capsys, tmp_path):
+        # psi does not depend on the direction of the shift
+        out = tmp_path / "psi.json"
+        assert main(["estimate", active_csv, "--measure", "psi:1", "--json", str(out)]) == 0
+        assert "hazard dominates" not in capsys.readouterr().out
+        assert "orientation_note" in json.loads(out.read_text())
+        assert main(["estimate", active_csv]) == 0
+        assert "note: negative phi: column-variable hazard dominates" in capsys.readouterr().out
 
     def test_lambda_flag_spelling(self, active_csv):
         assert main(["estimate", active_csv, "--measure", "psi", "--lambda", "2"]) == 0
@@ -252,6 +284,17 @@ class TestCurve:
         assert main(["curve", "--delta-min", "2", "--delta-max", "1",
                      "--step", "0.1", "--out", str(out)]) == 1
 
+    def test_huge_grid_exits_one_before_allocating(self, tmp_path):
+        out = tmp_path / "c.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "margshift.cli", "curve", "--delta-min", "0",
+             "--delta-max", "1e9", "--step", "1e-9", "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert_clean_error(proc)
+        assert "points" in proc.stderr
+        assert not out.exists()
+
     def test_unwritable_path_exits_one(self, tmp_path):
         assert main(["curve", "--delta-min", "-1", "--delta-max", "1",
                      "--step", "0.5", "--out", str(tmp_path / "no" / "dir" / "c.csv")]) == 1
@@ -320,6 +363,61 @@ class TestSimulate:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "{active}"],
+            ["estimate", "{active}", "--measure", "psi:1"],
+            ["estimate", "{active}", "--ci", "bootstrap", "--replicates", "500", "--seed", "7"],
+            ["compare", "{active}", "{placebo}"],
+            ["simulate", "--delta=-1,1", "--n", "200", "--replicates", "200", "--seed", "3"],
+            ["curve", "--delta-min", "-1", "--delta-max", "1", "--step", "0.25",
+             "--out", "{tmp}/curve.csv"],
+        ],
+        ids=["phi", "psi", "bootstrap", "compare", "simulate", "curve"],
+    )
+    def test_process_entry_prints_what_main_prints(
+        self, argv, active_csv, placebo_csv, tmp_path, capsys
+    ):
+        argv = [a.format(active=active_csv, placebo=placebo_csv, tmp=tmp_path) for a in argv]
+        argv += ["--json", "-"]
+        proc = run_cli(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_exit_codes_pass_through_the_process_entry(self, tmp_path):
+        boundary = write_counts(tmp_path / "left.csv", [[0, 0, 0], [0, 0, 0], [40, 60, 0]])
+        assert run_cli("estimate", boundary).returncode == 2
+        usage = run_cli("estimate", boundary, "--ci", "jackknife")
+        assert_clean_error(usage)
+        assert "invalid choice" in usage.stderr
+
+    def test_console_script_freezes_and_exits_with_the_code_of_main(self, tmp_path):
+        boundary = write_counts(tmp_path / "left.csv", [[0, 0, 0], [0, 0, 0], [40, 60, 0]])
+        code = (
+            "import gc, sys\n"
+            "from margshift.cli import entry\n"
+            f"sys.argv = ['margshift', 'estimate', {boundary!r}]\n"
+            "try:\n"
+            "    entry()\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.split() == ["2", "True"]
+
+    def test_console_script_points_at_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"margshift": "margshift.cli:entry"}
+
+    def test_main_does_not_freeze(self, active_csv, capsys):
+        before = gc.get_freeze_count()
+        assert main(["estimate", active_csv, "--ci", "bootstrap", "--replicates", "200"]) == 0
+        assert gc.get_freeze_count() == before
+
     def test_module_invocation(self, active_csv):
         proc = subprocess.run(
             [sys.executable, "-m", "margshift.cli", "estimate", active_csv],

@@ -1,6 +1,8 @@
 """Covariance, gradients, Wald and bootstrap intervals, group comparison."""
 
 import math
+import subprocess
+import sys
 from statistics import NormalDist
 
 import numpy as np
@@ -24,9 +26,9 @@ from margshift import (
     wald_ci,
     z_quantile,
 )
-from margshift.inference import _grad_psi
+from margshift.inference import _grad_psi, _percentile
 from margshift.measures import _check_lambda
-from conftest import random_positive_table
+from conftest import ACTIVE_COUNTS, random_positive_table
 
 # high-precision standard normal quantiles, frozen as test oracles
 Z_975 = 1.959963984540054
@@ -169,6 +171,16 @@ class TestZQuantile:
             with pytest.raises(DomainError):
                 z_quantile(bad)
 
+    def test_statistics_is_imported_on_first_use(self):
+        code = (
+            "import sys, margshift\n"
+            "assert 'statistics' not in sys.modules\n"
+            "margshift.z_quantile(0.975)\n"
+            "assert 'statistics' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_far_tail(self):
         q = 1.0 - 1e-12
         assert z_quantile(q) == pytest.approx(NormalDist().inv_cdf(q), abs=1e-12)
@@ -301,11 +313,53 @@ class TestBootstrapCI:
         with pytest.raises(TooManyDegenerateReplicatesError):
             bootstrap_ci(CountTable([[50, 0], [0, 0]]), replicates=300, seed=0)
 
+    def test_needs_neither_numpy_ma_nor_statistics(self):
+        # np.percentile would import numpy.ma (through np.unique); a one-shot
+        # CLI process pays for every module it loads
+        code = (
+            "import sys\n"
+            "from margshift import CountTable, bootstrap_ci\n"
+            f"bootstrap_ci(CountTable({ACTIVE_COUNTS}), replicates=300, seed=0)\n"
+            "print(sorted({'numpy.ma', 'statistics'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_boundary_table_estimates_fine(self):
         # the bootstrap needs only the measure value, not its gradient
         rep = bootstrap_ci(CountTable([[0, 0, 0], [0, 0, 0], [40, 60, 0]]),
                            replicates=300, seed=0)
         assert rep.ci.estimate == -1.0
+
+
+class TestPercentile:
+    """_percentile against np.percentile, the oracle, bit for bit."""
+
+    LEVELS = (1e-7, 0.5, 0.683, 0.95, 0.99, 0.9999999)
+
+    def check(self, ordered: np.ndarray, pct: float) -> None:
+        assert _percentile(ordered, pct) == float(np.percentile(ordered, pct)), (
+            ordered.shape[0], pct)
+
+    def test_random_sorted_arrays_with_ties(self):
+        rng = np.random.default_rng(11)
+        for trial in range(600):
+            n = int(rng.integers(1, 3000))
+            if trial % 3:
+                ordered = np.sort(rng.standard_normal(n))
+            else:  # few distinct values: ties everywhere
+                ordered = np.sort(rng.integers(0, 5, n) / 7.0)
+            for level in (*self.LEVELS, float(rng.random())):
+                alpha = 1.0 - level
+                for pct in (100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0), 100.0 * level):
+                    self.check(ordered, pct)
+
+    def test_ends_and_short_arrays(self):
+        for n in (1, 2, 3, 199, 200):
+            ordered = np.sort(np.random.default_rng(n).random(n))
+            for pct in (0.0, 100.0, 50.0, 2.5, 97.5, 100.0 * (1.0 - 1e-16)):
+                self.check(ordered, pct)
 
 
 class TestCompareGroups:

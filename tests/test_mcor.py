@@ -19,6 +19,7 @@ from margshift import (
     phi_of_delta,
     scenario_table,
 )
+from margshift import mcor
 from margshift.mcor import _marginal_from_hazards
 
 
@@ -171,6 +172,15 @@ class TestCurveGrid:
             curve_grid(3.0, 2.0, 0.1)
         with pytest.raises(DomainError):
             curve_grid(0.0, 0.05, 0.1)  # single point
+
+    def test_grid_size_is_capped_before_allocating(self, monkeypatch):
+        for lo, hi, step in ((0.0, 1_000_000.0, 1.0), (0.0, 1e9, 1e-9), (-1e308, 1e308, 1.0)):
+            with pytest.raises(DomainError, match="more than 1000000 points"):
+                curve_grid(lo, hi, step)
+        monkeypatch.setattr(mcor, "_MAX_CURVE_POINTS", 10)
+        assert len(curve_grid(0.0, 0.9, 0.1)) == 10  # the cap itself is allowed
+        with pytest.raises(DomainError, match="more than 10 points"):
+            curve_grid(0.0, 1.0, 0.1)
 
     def test_bad_step_rejected(self):
         with pytest.raises(DomainError):

@@ -45,6 +45,27 @@ class TestCountTable:
         with pytest.raises(DomainError):
             CountTable([[1.5, 0.5], [1.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            (np.array([[2**63, 1], [1, 1]], dtype=np.uint64), "counts must not exceed"),
+            (np.array([[2**64 - 1, 0], [0, 1]], dtype=np.uint64), "counts must not exceed"),
+            (np.array([[1e19, 1.0], [1.0, 1.0]]), "counts must not exceed"),
+            ([[2**62] * 2] * 2, "totals must not exceed"),  # the int64 sum wraps to 0
+            ([[2**62, 2**62], [2**62, 2**62 + 5]], "totals must not exceed"),  # wraps to 5
+            (np.array([[2**62, 2**62], [2**62, 2**62]], dtype=np.uint64), "totals must not exceed"),
+        ],
+    )
+    def test_rejects_counts_and_totals_beyond_int64(self, counts, message):
+        with pytest.raises(DomainError, match=message):
+            CountTable(counts)
+
+    def test_accepts_the_largest_int64_total(self):
+        top = 2**63 - 1
+        t = CountTable([[top - 3 * 2**61, 2**61], [2**61, 2**61]])
+        assert t.n == top
+        assert CountTable([[top, 0], [0, 0]]).n == top
+
     def test_accepts_integral_floats(self):
         t = CountTable(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert t.n == 10
