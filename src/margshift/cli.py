@@ -79,7 +79,9 @@ def _is_int_token(tok: str) -> bool:
     tok = tok.strip()
     if tok and tok[0] in "+-":
         tok = tok[1:]
-    return tok.isdigit()
+    # ASCII digits only: str.isdigit also accepts "²" (which int() refuses)
+    # and "٣" or "１" (which int() reads as 3 and 1)
+    return tok.isascii() and tok.isdigit()
 
 
 def parse_table_csv(path: str) -> CountTable:

@@ -72,9 +72,12 @@ __all__ = [
 # share of degenerate bootstrap replicates tolerated before giving up
 _DEGENERATE_REPLICATE_CAP = 0.01
 
-# Replicate loops draw and evaluate their tables in stacks of at most this
-# many cells (at least one table), which bounds their working memory.
-_CHUNK_CELLS = 1 << 14
+# Replicate loops draw and evaluate their tables in chunks of at most this
+# many cells and at most _SEED_BLOCK tables (but at least one table), which
+# bounds their working memory.  A chunk costs some sixty numpy calls whatever
+# its size; at 2^16 cells an r = 60 chunk holds 18 tables, so that cost is
+# small next to the chunk's draws.
+_CHUNK_CELLS = 1 << 16
 
 # Replicate k of a seeded loop draws from the generator
 # default_rng(SeedSequence(seed).spawn(...)[k]).  Its seed is derived with
@@ -336,13 +339,15 @@ def grad_fd(
 
 
 def _plugin_estimate(table: CountTable, measure: str, lam: float | None) -> float:
-    _, terms = _table_terms(table.counts)
+    _, _, terms = _table_terms(table.counts)
     return _scalar(_value(terms.w1, terms.w2, measure, lam), measure)
 
 
 def _chunks(count: int, r: int):
-    """(start, stop) ranges covering count r x r tables, _CHUNK_CELLS cells at a time."""
-    size = max(1, _CHUNK_CELLS // (r * r))
+    """(start, stop) ranges covering count r x r tables, in chunks of at most
+    2^16 cells and at most 1024 tables, but at least one table: 1024 tables
+    up to r = 8, 18 at r = 60, one from r = 182 on."""
+    size = min(_SEED_BLOCK, max(1, _CHUNK_CELLS // (r * r)))
     for start in range(0, count, size):
         yield start, min(start + size, count)
 
@@ -448,11 +453,11 @@ def _resample(p: np.ndarray, n: int, replicates: int, seed: int):
 def _delta(counts: np.ndarray, measure: str, lam: float | None):
     """Estimate, delta-method se, gradient and W terms of count tables (..., r, r);
     se is meaningless where :func:`_refused` holds."""
-    p, terms = _table_terms(counts)
+    p, totals, terms = _table_terms(counts)
     estimate = _value(terms.w1, terms.w2, measure, lam)
     grad = _grad(terms, measure, lam)
     with np.errstate(all="ignore"):  # refused tables carry inf/NaN
-        se = np.sqrt(_variance(p.reshape(grad.shape), grad) / counts.sum(axis=(-2, -1)))
+        se = np.sqrt(_variance(p.reshape(grad.shape), grad) / totals[..., 0, 0])
     return estimate, se, grad, terms
 
 
@@ -540,10 +545,12 @@ def bootstrap_ci(
     ``default_rng`` builds from the k-th child spawned by
     ``SeedSequence(seed)``, and aggregation (counts plus sorted percentile
     extraction) does not depend on evaluation order.  Replicates are drawn
-    and evaluated in bounded chunks; the children's seeds are derived a
-    block at a time and one generator is set to each replicate's state in
-    turn, so the stream, and with it every reported number, is the same as
-    one spawned generator per replicate.
+    and evaluated in chunks of at most 2^16 cells and at most 1024 tables
+    (see :func:`_chunks`), so the working memory is set by the chunk, not by
+    ``replicates``; the children's seeds are derived a block at a time and
+    one generator is set to each replicate's state in turn, so the stream,
+    and with it every reported number, is the same as one spawned generator
+    per replicate.
     """
     if not isinstance(table, CountTable):
         table = CountTable(table)
@@ -561,7 +568,7 @@ def bootstrap_ci(
     n = table.n
     chunks = []
     for counts in _resample(from_counts(table).p, n, replicates, seed):
-        _, terms = _table_terms(counts)
+        _, _, terms = _table_terms(counts)
         chunks.append(_value(terms.w1, terms.w2, measure, lam))
     values = np.concatenate(chunks)
     degenerate = int(np.count_nonzero(np.isnan(values)))

@@ -168,16 +168,18 @@ def _terms(cells: np.ndarray) -> _Terms:
     return _Terms(row, col, surv_x, surv_y, omega_x, omega_y, exhausted_x, exhausted_y, w1, w2)
 
 
-def _table_terms(counts: np.ndarray) -> tuple[np.ndarray, _Terms]:
-    """Cell probabilities and W chain of count tables (..., r, r), checking every
-    table, marginal, hazard and discordance invariant once for the whole stack."""
-    counts = _check_counts(counts)
-    p = _check_probs(counts / counts.sum(axis=(-2, -1), keepdims=True))
+def _table_terms(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Terms]:
+    """Cell probabilities, totals (..., 1, 1) and W chain of count tables
+    (..., r, r), checking every table, marginal, hazard and discordance
+    invariant once for the whole stack."""
+    counts, totals = _check_counts(counts)
+    p = counts / totals
+    p = _check_probs(p, out=p)  # renormalized in place: one cell-sized array fewer
     t = _terms(p)
     _check_marginals(t.row, t.col, np.cumsum(t.row, -1), np.cumsum(t.col, -1), t.surv_x, t.surv_y)
     _check_hazards(t.omega_x, t.omega_y, t.exhausted_x, t.exhausted_y)
     _check_discordance(t.w1, t.w2)
-    return p, t
+    return p, totals, t
 
 
 def _phi_raw(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:

@@ -127,11 +127,12 @@ def coverage_study(spec: CoverageStudySpec) -> CoverageResult:
 
     The truth is the scenario's closed-form phi; each replicate samples a
     table from the scenario population and asks whether its interval
-    contains the truth.  Replicates are drawn and evaluated in bounded
-    chunks by the bootstrap's sampler (``inference._resample``): one
-    generator is set to each replicate's state, derived from
-    ``SeedSequence(seed)`` a block at a time, so the stream is the same as
-    one spawned generator per replicate.
+    contains the truth.  Replicates are drawn and evaluated by the
+    bootstrap's sampler (``inference._resample``) in chunks of at most 2^16
+    cells and at most 1024 tables, so the working memory is set by the
+    chunk, not by the replicate count.  One generator is set to each
+    replicate's state, derived from ``SeedSequence(seed)`` a block at a
+    time, so the stream is the same as one spawned generator per replicate.
     """
     if not isinstance(spec, CoverageStudySpec):
         raise DomainError("spec must be a CoverageStudySpec")

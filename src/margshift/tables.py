@@ -61,12 +61,13 @@ def _tail_sums(v: np.ndarray) -> np.ndarray:
 # tables is validated in one call with the same errors a single table gets.
 
 
-def _check_counts(arr: np.ndarray) -> np.ndarray:
-    """CountTable value invariants over (..., r, r); returns int64 counts."""
+def _check_counts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CountTable value invariants over (..., r, r); returns the counts as int64,
+    not copied when they already are, and each table's total, shaped (..., 1, 1)."""
     if np.issubdtype(arr.dtype, np.floating):
         if not np.all(np.isfinite(arr)) or np.any(arr != np.floor(arr)):
             raise DomainError("counts must be integers")
-    elif not np.issubdtype(arr.dtype, np.integer):
+    elif not (np.issubdtype(arr.dtype, np.integer) or _python_ints(arr)):
         raise DomainError(f"counts must be integers, got dtype {arr.dtype}")
     if np.any(arr < 0):
         raise DomainError("counts must be nonnegative")
@@ -74,20 +75,30 @@ def _check_counts(arr: np.ndarray) -> np.ndarray:
     top = int(arr.max())
     if top > _MAX_COUNT:
         raise DomainError(f"counts must not exceed 2^63 - 1, got {top}")
-    arr = arr.astype(np.int64)
+    arr = arr.astype(np.int64, copy=False)
     if top * arr.shape[-1] * arr.shape[-2] > _MAX_COUNT:  # a total may overflow
         totals = arr.astype(object).sum(axis=(-2, -1))
         if np.any(totals > _MAX_COUNT):
             raise DomainError(
                 f"count table totals must not exceed 2^63 - 1, got {max(np.ravel(totals))}"
             )
-    if np.any(arr.sum(axis=(-2, -1)) == 0):
+    totals = arr.sum(axis=(-2, -1), keepdims=True)
+    if np.any(totals == 0):
         raise ZeroTotalError("count table sums to zero")
-    return arr
+    return arr, totals
 
 
-def _check_probs(arr: np.ndarray) -> np.ndarray:
-    """ProbTable invariants over (..., r, r); returns the renormalized cells."""
+def _python_ints(arr: np.ndarray) -> bool:
+    """Whether an object array holds only integers, as numpy builds one from
+    Python ints beyond the range of every integer dtype."""
+    return arr.dtype == object and all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in arr.flat
+    )
+
+
+def _check_probs(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ProbTable invariants over (..., r, r); returns the renormalized cells,
+    written to ``out`` if given (which may be ``arr`` itself)."""
     if not np.all(np.isfinite(arr)):
         raise DomainError("probabilities must be finite")
     if np.any(arr < 0):
@@ -98,7 +109,8 @@ def _check_probs(arr: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"probabilities sum to {float(total[off][0])!r}, more than {PROB_SUM_TOL} away from 1"
         )
-    return arr / total  # x / 1.0 == x, so exact-mass tables come back unchanged
+    # x / 1.0 == x, so exact-mass tables come back unchanged
+    return np.divide(arr, total, out=out)
 
 
 def _check_marginals(row, col, row_cum, col_cum, row_surv, col_surv) -> None:
@@ -156,12 +168,12 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.counts)
+        arr = np.array(self.counts)  # a copy: the caller's array is never frozen or shared
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
             raise ShapeError(
                 f"counts must be a square r x r matrix with r >= 2, got shape {arr.shape}"
             )
-        object.__setattr__(self, "counts", _frozen(_check_counts(arr)))
+        object.__setattr__(self, "counts", _frozen(_check_counts(arr)[0]))
 
     @property
     def r(self) -> int:

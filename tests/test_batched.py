@@ -273,9 +273,10 @@ def test_bootstrap_gives_up_like_scalar_loop():
         bootstrap_ci(table, replicates=400, seed=0)
 
 
-def test_bootstrap_with_one_table_per_chunk():
-    r = 91  # 91^2 cells exceed half the chunk, so each chunk holds one table
-    assert inference._CHUNK_CELLS // (r * r) == 1
+def test_bootstrap_with_one_table_per_chunk(monkeypatch):
+    r = 91
+    monkeypatch.setattr(inference, "_CHUNK_CELLS", r * r)  # each chunk holds one table
+    assert [hi - lo for lo, hi in inference._chunks(3, r)] == [1, 1, 1]
     counts = np.random.default_rng(91).integers(1, 6, size=(r, r))
     assert_bootstrap_matches(CountTable(counts), 200, 5)
 
@@ -347,6 +348,17 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch, cells):
     assert coverage_study(spec) == cov
 
 
+@pytest.mark.parametrize(
+    "r, size", [(2, 1024), (4, 1024), (8, 1024), (9, 809), (60, 18), (100, 6), (181, 2), (182, 1)]
+)
+def test_chunks_hold_a_cell_budget_of_tables_up_to_one_seed_block(r, size):
+    count = 2 * size + 1
+    spans = list(inference._chunks(count, r))
+    assert [hi - lo for lo, hi in spans] == [size, size, 1]
+    assert spans[0][0] == 0 and spans[-1][1] == count
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
 # ---------------------------------------------------------------------------
 # memory at large r
 # ---------------------------------------------------------------------------
@@ -405,7 +417,7 @@ def test_child_seeds_match_numpy(seed):
 
 @pytest.mark.parametrize("r, replicates, seed", [(4, 2100, 2**64 - 1), (60, 1030, 7)])
 def test_resample_matches_the_spawn_loop(r, replicates, seed):
-    # 2100 and 1030 replicates cross seed blocks; at r = 60 a chunk holds 4 tables
+    # 2100 and 1030 replicates cross seed blocks; at r = 60 a chunk holds 18 tables
     p = np.random.default_rng(r).random((r, r))
     p /= p.sum()
     n = 20 * r * r

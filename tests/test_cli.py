@@ -120,6 +120,14 @@ class TestTableIO:
         with pytest.raises(TableParseError, match=r"big\.csv:2: column 2: .*2\^63 - 1"):
             parse_table_csv(str(path))
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff11"])  # ², Arabic-Indic 3, fullwidth 1
+    def test_non_ascii_digits_exit_one_without_traceback(self, tmp_path, digit):
+        path = tmp_path / "digits.csv"
+        path.write_text(f"1,2\n3,{digit}\n", encoding="utf-8")
+        proc = run_cli("estimate", str(path))
+        assert_clean_error(proc)
+        assert f"digits.csv:2: column 2: not an integer: '{digit}'" in proc.stderr
+
     @pytest.mark.parametrize(
         "text", ["1,2\n3,99999999999999999999\n", f"{2**62},{2**62}\n{2**62},{2**62}\n"]
     )

@@ -60,6 +60,28 @@ class TestCountTable:
         with pytest.raises(DomainError, match=message):
             CountTable(counts)
 
+    @pytest.mark.parametrize("top", [2**64, 2**70])
+    def test_rejects_python_ints_beyond_every_integer_dtype(self, top):
+        # numpy holds these in an object array
+        with pytest.raises(DomainError, match=f"counts must not exceed 2\\^63 - 1, got {top}"):
+            CountTable([[top, 1], [1, 1]])
+
+    def test_rejects_negative_python_ints_beyond_int64(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            CountTable([[-(2**70), 1], [1, 1]])
+
+    def test_rejects_object_arrays_of_non_integers(self):
+        with pytest.raises(DomainError, match="got dtype object"):
+            CountTable(np.array([[1, None], [1, 1]], dtype=object))
+
+    def test_a_callers_array_stays_writeable_and_unshared(self):
+        counts = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        table = CountTable(counts)
+        assert counts.flags.writeable
+        assert not np.shares_memory(table.counts, counts)
+        counts[0, 0] = 99
+        assert table.counts[0, 0] == 1
+
     def test_accepts_the_largest_int64_total(self):
         top = 2**63 - 1
         t = CountTable([[top - 3 * 2**61, 2**61], [2**61, 2**61]])
@@ -86,6 +108,9 @@ class TestProbTable:
         p[0, 0] += 5e-10
         t = ProbTable(p)
         assert float(t.p.sum()) == pytest.approx(1.0, abs=1e-15)
+        # the caller's array is neither renormalized in place nor shared
+        assert p[0, 0] == 0.25 + 5e-10 and p.flags.writeable
+        assert not np.shares_memory(t.p, p)
 
     def test_rejects_off_mass(self):
         with pytest.raises(DomainError):
