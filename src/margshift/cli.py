@@ -2,9 +2,9 @@
 
 Subcommands::
 
-    margshift estimate TABLE.csv [--level 0.95] [--measure phi|psi[:LAM]]
-                       [--lambda LAM] [--ci delta|bootstrap]
-                       [--replicates B] [--seed S] [--json PATH]
+    margshift estimate TABLE.csv [--level 0.95] [--measure phi|psi:LAM]
+                       [--ci delta|bootstrap] [--replicates B] [--seed S]
+                       [--json PATH]
     margshift compare A.csv B.csv [--level 0.95] [--json PATH]
     margshift curve --delta-min MIN --delta-max MAX --step STEP --out CSV
                        [--json PATH]
@@ -28,6 +28,7 @@ import argparse
 import csv
 import gc
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -84,6 +85,18 @@ def _is_int_token(tok: str) -> bool:
     return tok.isascii() and tok.isdigit()
 
 
+def _read_text(path: str, error: type[Exception]) -> str:
+    """The UTF-8 text of a file, or ``error`` naming the file (and the bad byte)."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})") from exc
+
+
 def parse_table_csv(path: str) -> CountTable:
     """Parse a CSV count table, auto-detecting header and label column.
 
@@ -91,12 +104,9 @@ def parse_table_csv(path: str) -> CountTable:
     malformed content, and refuses non-square numeric blocks instead of
     guessing what was meant.
     """
-    try:
-        # utf-8-sig drops the byte-order mark that spreadsheet tools write
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            raw = [[cell.strip() for cell in row] for row in csv.reader(fh)]
-    except OSError as exc:
-        raise TableParseError(f"{path}: {exc.strerror or exc}") from exc
+    # drop the byte-order mark that spreadsheet tools write
+    text = _read_text(path, TableParseError).removeprefix("\ufeff")
+    raw = [[cell.strip() for cell in row] for row in csv.reader(io.StringIO(text, newline=""))]
     rows = [row for row in raw if any(cell != "" for cell in row)]
     if not rows:
         raise TableParseError(f"{path}: no data rows")
@@ -138,6 +148,16 @@ def parse_table_csv(path: str) -> CountTable:
         data.append(vals)
 
     if len(data) != width:
+        # a digit that int() refuses (say "²") passes for a label or header
+        # token above; name it rather than the block shape it caused
+        suspects = []
+        if has_header:
+            suspects += [(1, start + j + 1, tok) for j, tok in enumerate(rows[0][start:])]
+        if has_labels:
+            suspects += [(i + 1 + has_header, 1, row[0]) for i, row in enumerate(body)]
+        for line, col, tok in suspects:
+            if tok.isdigit() and not _is_int_token(tok):
+                raise TableParseError(f"{path}:{line}: column {col}: not an integer: {tok!r}")
         raise TableParseError(
             f"{path}: numeric block is {len(data)} x {width} after detecting "
             f"header={'yes' if has_header else 'no'}, "
@@ -220,32 +240,9 @@ def _write_json(report: dict, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_measure(args) -> tuple[str, float | None]:
-    spec = args.measure
-    lam = args.lam
-    if spec.startswith("psi:"):
-        inline = spec[4:]
-        try:
-            inline_val = float(inline)
-        except ValueError:
-            raise _UsageError(f"bad lambda in --measure {spec!r}")
-        if lam is not None and lam != inline_val:
-            raise _UsageError("--lambda conflicts with the value in --measure")
-        return "psi", inline_val
-    if spec == "psi":
-        if lam is None:
-            raise _UsageError("--measure psi needs --lambda (or use --measure psi:<value>)")
-        return "psi", lam
-    if spec == "phi":
-        if lam is not None:
-            raise _UsageError("--lambda only applies to --measure psi")
-        return "phi", None
-    raise _UsageError(f"unknown measure {spec!r}")
-
-
 def cmd_estimate(args, argv) -> int:
     table = parse_table_csv(args.table)
-    measure, lam = _resolve_measure(args)
+    measure, lam = args.measure
     if args.ci == "delta":
         seed = None
         try:
@@ -356,11 +353,7 @@ _SIMULATE_KEYS = ("delta", "base_hazard", "n", "replicates", "level", "seed")
 
 def _parse_config(path: str) -> dict:
     values = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise _UsageError(f"{path}: {exc.strerror or exc}")
-    for line_no, line in enumerate(lines, 1):
+    for line_no, line in enumerate(_read_text(path, _UsageError).splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -374,50 +367,18 @@ def _parse_config(path: str) -> dict:
     return values
 
 
-def _floats(text: str, what: str) -> list[float]:
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
-    except ValueError:
-        raise _UsageError(f"bad {what}: {text!r}")
-
-
-def _ints(text: str, what: str) -> list[int]:
-    try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
-    except ValueError:
-        raise _UsageError(f"bad {what}: {text!r}")
-
-
 def cmd_simulate(args, argv) -> int:
-    cfg = _parse_config(args.config) if args.config else {}
-
-    def setting(name, flag_value, default):
-        if flag_value is not None:
-            return flag_value
-        if name in cfg:
-            return cfg[name]
-        return default
-
-    deltas = _floats(setting("delta", args.delta, "0"), "delta list")
-    ns = _ints(setting("n", args.n, "500"), "sample-size list")
-    base = _floats(setting("base_hazard", args.base_hazard, "0.3,0.4,0.5"), "base hazards")
-    replicates = int(setting("replicates", args.replicates, 2000))
-    level = float(setting("level", args.level, 0.95))
-    seed = int(setting("seed", args.seed, 0))
-    if not deltas or not ns:
-        raise _UsageError("delta and n lists must be nonempty")
-
     studies = []
     index = 0
-    for delta in deltas:
-        scenario = McorScenario(base_haz_x=np.array(base), delta=delta)
-        for n in ns:
+    for delta in args.delta:
+        scenario = McorScenario(base_haz_x=np.array(args.base_hazard), delta=delta)
+        for n in args.n:
             spec = CoverageStudySpec(
                 scenario=scenario,
                 n=n,
-                replicates=replicates,
-                level=level,
-                seed=seed + index,
+                replicates=args.replicates,
+                level=args.level,
+                seed=args.seed + index,
             )
             studies.append(coverage_study(spec))
             index += 1
@@ -444,12 +405,12 @@ def cmd_simulate(args, argv) -> int:
     if args.json:
         results = {
             "joint": "independence",
-            "base_hazard_x": base,
+            "base_hazard_x": args.base_hazard,
             "studies": [res.as_dict() for res in studies],
             "csv_path": args.out,
         }
         inputs = [args.config] if args.config else []
-        report = _make_report("simulate", argv, inputs, seed, results)
+        report = _make_report("simulate", argv, inputs, args.seed, results)
         _write_json(report, args.json)
     return 0
 
@@ -459,7 +420,39 @@ def cmd_simulate(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
+def _measure(text: str) -> tuple[str, float | None]:
+    """``--measure`` type: ``phi`` or ``psi:<lambda>`` as (measure, lambda)."""
+    if text == "phi":
+        return "phi", None
+    name, _, lam = text.partition(":")
+    try:
+        if name == "psi":
+            return "psi", float(lam)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected phi or psi:<lambda>, got {text!r}")
+
+
+def _comma_list(convert):
+    """A ``type=`` that reads "a,b,..." as a nonempty list of ``convert`` values."""
+
+    def parse(text: str) -> list:
+        values = [convert(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise ValueError(text)
+        return values
+
+    parse.__name__ = f"{convert.__name__} list"  # argparse names it in "invalid ... value"
+    return parse
+
+
+def _build_parser(config: dict | None = None) -> _Parser:
+    """The CLI parser; ``config`` holds ``simulate`` defaults read from ``--config``.
+
+    argparse converts a string default through the option's ``type=`` only
+    when the flag is absent, so file values are checked exactly like flags
+    and a flag always wins over the file.
+    """
     parser = _Parser(prog="margshift", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"margshift {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -467,8 +460,7 @@ def _build_parser() -> _Parser:
     est = sub.add_parser("estimate", help="estimate phi or psi with a confidence interval")
     est.add_argument("table", help="CSV count table")
     est.add_argument("--level", type=float, default=0.95)
-    est.add_argument("--measure", default="phi", help="phi, psi or psi:<lambda>")
-    est.add_argument("--lambda", dest="lam", type=float, default=None)
+    est.add_argument("--measure", type=_measure, default="phi", metavar="phi|psi:LAM")
     est.add_argument("--ci", choices=["delta", "bootstrap"], default="delta")
     est.add_argument("--replicates", type=int, default=2000)
     est.add_argument("--seed", type=int, default=0)
@@ -492,37 +484,31 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="Monte Carlo coverage study of the phi interval")
     sim.add_argument("--config", default=None, help="key=value file; flags override it")
-    sim.add_argument("--delta", default=None, help="comma-separated shift values")
-    sim.add_argument("--n", default=None, help="comma-separated sample sizes")
-    sim.add_argument("--base-hazard", default=None, help="comma-separated row hazards in (0,1)")
-    sim.add_argument("--replicates", type=int, default=None)
-    sim.add_argument("--level", type=float, default=None)
-    sim.add_argument("--seed", type=int, default=None)
+    floats, ints = _comma_list(float), _comma_list(int)
+    sim.add_argument("--delta", type=floats, default="0", help="comma-separated shift values")
+    sim.add_argument("--n", type=ints, default="500", help="comma-separated sample sizes")
+    sim.add_argument("--base-hazard", type=floats, default="0.3,0.4,0.5",
+                     help="comma-separated row hazards in (0,1)")
+    sim.add_argument("--replicates", type=int, default=2000)
+    sim.add_argument("--level", type=float, default=0.95)
+    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--json", default=None)
     sim.add_argument("--out", default=None, help="CSV with one row per study")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate, **(config or {}))
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "config", None):
+            args = _build_parser(_parse_config(args.config)).parse_args(argv)
         return args.func(args, argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TableParseError, ShapeError, ZeroTotalError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (DegenerateMassError, NonDifferentiableError, TooManyDegenerateReplicatesError) as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         return 2
-    except MargshiftError as exc:  # safety net for any remaining semantic error
+    except (_UsageError, OSError, MargshiftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

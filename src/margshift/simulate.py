@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMassError, DomainError
-from .inference import _MAX_REPLICATES, _delta, _refused, _resample, z_quantile
+from .inference import _MAX_REPLICATES, _check_level, _delta, _refused, _resample, z_quantile
 from .mcor import McorScenario, phi_of_delta, scenario_table
 from .tables import CountTable, ProbTable
 
@@ -76,12 +76,10 @@ class CoverageStudySpec:
         if not 100 <= int(self.replicates) <= _MAX_REPLICATES:
             raise DomainError(f"replicates must lie in [100, 2^32], got {self.replicates}")
         object.__setattr__(self, "n", _check_sample_size(self.n, 10))
-        if not (0.0 < float(self.level) < 1.0):
-            raise DomainError(f"level must lie in (0, 1), got {self.level!r}")
+        object.__setattr__(self, "level", _check_level(self.level))
         if int(self.seed) < 0:
             raise DomainError("seed must be a nonnegative integer")
         object.__setattr__(self, "replicates", int(self.replicates))
-        object.__setattr__(self, "level", float(self.level))
         object.__setattr__(self, "seed", int(self.seed))
 
 

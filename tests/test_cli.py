@@ -1,8 +1,10 @@
 """Command line behavior: parsing, exit codes, reports, schema validity."""
 
+import argparse
 import csv
 import gc
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -12,7 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from margshift import CountTable, TableParseError, wald_ci
+from margshift import CountTable, TableParseError, cli, wald_ci
 from margshift.cli import main, parse_table_csv, write_table_csv
 from conftest import ACTIVE_COUNTS, PLACEBO_COUNTS
 
@@ -129,6 +131,27 @@ class TestTableIO:
         assert f"digits.csv:2: column 2: not an integer: '{digit}'" in proc.stderr
 
     @pytest.mark.parametrize(
+        "text, cell", [("1,2\n\u00b2,4\n", "2: column 1"), ("1,\u00b2\n3,4\n", "1: column 2")]
+    )
+    def test_non_ascii_digit_taken_for_label_or_header_is_named(self, tmp_path, text, cell):
+        # "²" is no integer, so it made a row label or a header and left a
+        # non-square block; the message names it, not the block's shape
+        path = tmp_path / "stray.csv"
+        path.write_text(text, encoding="utf-8")
+        proc = run_cli("estimate", str(path))
+        assert_clean_error(proc)
+        assert proc.stderr.count("\n") == 1
+        assert f"stray.csv:{cell}: not an integer: '\u00b2'" in proc.stderr
+
+    def test_non_utf8_table_exits_one_without_traceback(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"1,2\n3,\xff\n")
+        proc = run_cli("estimate", str(path))
+        assert_clean_error(proc)
+        assert proc.stderr.count("\n") == 1
+        assert "latin.csv: byte 6: not UTF-8" in proc.stderr
+
+    @pytest.mark.parametrize(
         "text", ["1,2\n3,99999999999999999999\n", f"{2**62},{2**62}\n{2**62},{2**62}\n"]
     )
     def test_oversized_tables_exit_one_without_traceback(self, tmp_path, text):
@@ -185,9 +208,6 @@ class TestEstimate:
         assert main(["estimate", active_csv]) == 0
         assert "note: negative phi: column-variable hazard dominates" in capsys.readouterr().out
 
-    def test_lambda_flag_spelling(self, active_csv):
-        assert main(["estimate", active_csv, "--measure", "psi", "--lambda", "2"]) == 0
-
     def test_shape_error_exits_one(self, tmp_path, capsys):
         path = write_counts(tmp_path / "one.csv", [[3]])
         assert main(["estimate", str(path)]) == 1
@@ -213,6 +233,18 @@ class TestEstimate:
     def test_missing_lambda_exits_one(self, active_csv, capsys):
         assert main(["estimate", active_csv, "--measure", "psi"]) == 1
         assert "lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["psi", "psi:abc"])
+    def test_psi_without_numeric_lambda_exits_one(self, active_csv, spec):
+        proc = run_cli("estimate", active_csv, "--measure", spec)
+        assert_clean_error(proc)
+        assert "lambda" in proc.stderr
+
+    def test_lambda_flag_is_unknown(self, active_csv):
+        # lambda is spelled inside --measure: psi:2
+        proc = run_cli("estimate", active_csv, "--lambda", "2")
+        assert_clean_error(proc)
+        assert "unrecognized arguments: --lambda 2" in proc.stderr
 
     def test_overflowing_lambda_exits_one(self, active_csv):
         # 2^1100 overflows a double
@@ -368,6 +400,60 @@ class TestSimulate:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("horizon = 12\n")
         assert main(["simulate", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("level = x", "argument --level: invalid float value: 'x'"),
+            ("seed = 1.5", "argument --seed: invalid int value: '1.5'"),
+            ("replicates = 1e3", "argument --replicates: invalid int value: '1e3'"),
+        ],
+    )
+    def test_malformed_config_value_exits_one_like_the_flag(self, tmp_path, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        proc = run_cli("simulate", "--config", str(cfg))
+        assert_clean_error(proc)
+        assert proc.stderr == f"error: {message}\n"
+
+    def test_config_value_a_flag_overrides_is_never_parsed(self, tmp_path):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("level = x\nn = 100\nreplicates = 100\n")
+        assert main(["simulate", "--config", str(cfg), "--level", "0.9"]) == 0
+
+    def test_non_utf8_config_exits_one_without_traceback(self, tmp_path):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfen = 100\n")
+        proc = run_cli("simulate", "--config", str(cfg))
+        assert_clean_error(proc)
+        assert proc.stderr.count("\n") == 1
+        assert "utf16.cfg: byte 0: not UTF-8" in proc.stderr
+
+
+def _docstring_flags() -> dict[str, set[str]]:
+    usage = cli.__doc__.split("Subcommands::")[1].split("\n\n")[1]
+    blocks = re.split(r"^\s*margshift (\w+)", usage, flags=re.M)[1:]
+    return {
+        name: set(re.findall(r"--[a-z][a-z-]*", text))
+        for name, text in zip(blocks[::2], blocks[1::2])
+    }
+
+
+def _parser_flags() -> dict[str, set[str]]:
+    (subparsers,) = [
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: {flag for action in sub._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def test_module_docstring_lists_every_flag_of_every_subcommand():
+    documented = _docstring_flags()
+    assert set(documented) == {"estimate", "compare", "curve", "simulate"}
+    assert documented == _parser_flags()
 
 
 class TestEntryPoint:
