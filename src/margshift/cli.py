@@ -29,7 +29,9 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -106,24 +108,26 @@ def parse_table_csv(path: str) -> CountTable:
     """
     # drop the byte-order mark that spreadsheet tools write
     text = _read_text(path, TableParseError).removeprefix("\ufeff")
-    raw = [[cell.strip() for cell in row] for row in csv.reader(io.StringIO(text, newline=""))]
-    rows = [row for row in raw if any(cell != "" for cell in row)]
-    if not rows:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # each row keeps its own line number: blank rows are dropped below
+    numbered = [(reader.line_num, [cell.strip() for cell in row]) for row in reader]
+    numbered = [(line, row) for line, row in numbered if any(cell != "" for cell in row)]
+    if not numbered:
         raise TableParseError(f"{path}: no data rows")
+    head_line, head = numbered[0]
 
     # a non-integer first token below row one can only be a row label;
     # row one is then a header only if it is non-integer beyond that column
-    has_labels = any(not _is_int_token(row[0]) for row in rows[1:])
+    has_labels = any(not _is_int_token(row[0]) for _, row in numbered[1:])
     start = 1 if has_labels else 0
-    has_header = any(not _is_int_token(c) for c in rows[0][start:])
-    body = rows[1:] if has_header else rows
+    has_header = any(not _is_int_token(c) for c in head[start:])
+    body = numbered[1:] if has_header else numbered
     if not body:
         raise TableParseError(f"{path}: no data rows below the header")
-    width = len(body[0]) - start
+    width = len(body[0][1]) - start
 
     data = []
-    for i, row in enumerate(body):
-        line = i + (2 if has_header else 1)
+    for line, row in body:
         if len(row) - start != width:
             raise TableParseError(
                 f"{path}:{line}: expected {width} numeric cells, found {len(row) - start}"
@@ -152,9 +156,9 @@ def parse_table_csv(path: str) -> CountTable:
         # token above; name it rather than the block shape it caused
         suspects = []
         if has_header:
-            suspects += [(1, start + j + 1, tok) for j, tok in enumerate(rows[0][start:])]
+            suspects += [(head_line, col, tok) for col, tok in enumerate(head[start:], start + 1)]
         if has_labels:
-            suspects += [(i + 1 + has_header, 1, row[0]) for i, row in enumerate(body)]
+            suspects += [(line, 1, row[0]) for line, row in body]
         for line, col, tok in suspects:
             if tok.isdigit() and not _is_int_token(tok):
                 raise TableParseError(f"{path}:{line}: column {col}: not an integer: {tok!r}")
@@ -368,20 +372,15 @@ def _parse_config(path: str) -> dict:
 
 
 def cmd_simulate(args, argv) -> int:
-    studies = []
-    index = 0
-    for delta in args.delta:
-        scenario = McorScenario(base_haz_x=np.array(args.base_hazard), delta=delta)
-        for n in args.n:
-            spec = CoverageStudySpec(
-                scenario=scenario,
-                n=n,
-                replicates=args.replicates,
-                level=args.level,
-                seed=args.seed + index,
-            )
-            studies.append(coverage_study(spec))
-            index += 1
+    # every study of the grid is specified, and so checked, before the first runs
+    specs = [
+        CoverageStudySpec(
+            scenario=McorScenario(base_haz_x=np.array(args.base_hazard), delta=delta),
+            n=n, replicates=args.replicates, level=args.level, seed=args.seed + index,
+        )
+        for index, (delta, n) in enumerate(itertools.product(args.delta, args.n))
+    ]
+    studies = [coverage_study(spec) for spec in specs]
 
     if args.json != "-":
         for res in studies:
@@ -433,6 +432,20 @@ def _measure(text: str) -> tuple[str, float | None]:
     raise argparse.ArgumentTypeError(f"expected phi or psi:<lambda>, got {text!r}")
 
 
+def _output_path(text: str) -> str:
+    """``--out``/``--json`` type: "-" or a writable file path, refused before any work."""
+    if text == "-":
+        return text
+    parent = Path(text).parent
+    if not parent.is_dir():
+        raise argparse.ArgumentTypeError(f"no such directory: {parent}")
+    if not os.access(parent, os.W_OK):
+        raise argparse.ArgumentTypeError(f"directory {parent} is not writable")
+    if not text or Path(text).is_dir():
+        raise argparse.ArgumentTypeError(f"not a file path: {text!r}")
+    return text
+
+
 def _comma_list(convert):
     """A ``type=`` that reads "a,b,..." as a nonempty list of ``convert`` values."""
 
@@ -464,22 +477,23 @@ def _build_parser(config: dict | None = None) -> _Parser:
     est.add_argument("--ci", choices=["delta", "bootstrap"], default="delta")
     est.add_argument("--replicates", type=int, default=2000)
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--json", default=None, help="write the JSON report here ('-' = stdout)")
+    est.add_argument("--json", type=_output_path, default=None,
+                     help="write the JSON report here ('-' = stdout)")
     est.set_defaults(func=cmd_estimate)
 
     cmp_ = sub.add_parser("compare", help="compare phi between two independent tables")
     cmp_.add_argument("table_a")
     cmp_.add_argument("table_b")
     cmp_.add_argument("--level", type=float, default=0.95)
-    cmp_.add_argument("--json", default=None)
+    cmp_.add_argument("--json", type=_output_path, default=None)
     cmp_.set_defaults(func=cmd_compare)
 
     crv = sub.add_parser("curve", help="tabulate phi as a function of the hazard shift")
     crv.add_argument("--delta-min", type=float, required=True)
     crv.add_argument("--delta-max", type=float, required=True)
     crv.add_argument("--step", type=float, required=True)
-    crv.add_argument("--out", required=True, help="CSV output path")
-    crv.add_argument("--json", default=None)
+    crv.add_argument("--out", type=_output_path, required=True, help="CSV output path")
+    crv.add_argument("--json", type=_output_path, default=None)
     crv.set_defaults(func=cmd_curve)
 
     sim = sub.add_parser("simulate", help="Monte Carlo coverage study of the phi interval")
@@ -492,8 +506,8 @@ def _build_parser(config: dict | None = None) -> _Parser:
     sim.add_argument("--replicates", type=int, default=2000)
     sim.add_argument("--level", type=float, default=0.95)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--json", default=None)
-    sim.add_argument("--out", default=None, help="CSV with one row per study")
+    sim.add_argument("--json", type=_output_path, default=None)
+    sim.add_argument("--out", type=_output_path, default=None, help="CSV with one row per study")
     sim.set_defaults(func=cmd_simulate, **(config or {}))
     return parser
 

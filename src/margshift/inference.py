@@ -15,12 +15,15 @@ an O(r^2) sum, evaluated in the centered form, which is nonnegative and
 free of cancellation.
 
 Two gradient routes are kept permanently: the analytic chain rule
-(:func:`grad_phi`) and central finite differences (:func:`grad_fd`), so
-either can audit the other.  Both exploit the fact that the measures are
-homogeneous of degree 0 in the cells when survivals are written as tail
-sums: coordinates can be perturbed without renormalizing onto the simplex,
-and adding a multiple of the all-ones vector to a gradient never changes
-the quadratic form (xi annihilates constants).
+(:func:`grad_phi`) and central finite differences (:func:`grad_fd`), so either
+can audit the other.  The analytic one (:func:`_grad`) is one chain rule for
+both measures V = sum_i u_i s(x_i), u_i = t_i / T, t_i = W1_i + W2_i,
+T = sum_j t_j; :mod:`margshift.measures` supplies the scores s of the W1 share
+x_i = W1_i / t_i and their slopes s'.  Both routes use that the measures are
+homogeneous of degree 0 in the cells when survivals are written as tail sums:
+coordinates can be perturbed without renormalizing onto the simplex, and
+adding a multiple of the all-ones vector to a gradient never changes the
+quadratic form (xi annihilates constants).
 
 A nonparametric multinomial bootstrap (:func:`bootstrap_ci`) provides an
 independent percentile interval for cross-checking the delta method.
@@ -41,15 +44,12 @@ from .errors import (
     TooManyDegenerateReplicatesError,
 )
 from .measures import (
-    _LAMBDA_ZERO_THRESHOLD,
-    _LN2,
-    _QUARTER_PI,
     _RANGE,
     _check_lambda,
-    _psi_g,
-    _psi_raw,
     _raw,
     _scalar,
+    _scores,
+    _slope,
     _table_terms,
     _terms,
     _value,
@@ -210,32 +210,20 @@ def _refuse(terms, measure: str) -> None:
 
 
 def _grad(terms, measure: str, lam: float | None) -> np.ndarray:
-    """Analytic gradient of the measure over the cells, (..., r^2); see
-    :func:`grad_phi`.  Meaningful only where :func:`_refused` is false."""
+    """Gradient over the cells, (..., r^2), where not :func:`_refused`, of either
+    measure V = sum_i u_i s(x_i) (module docstring), by one chain rule:
+
+        dV/dW1_i = (s_i - V) / T + s'(x_i) W2_i / (T t_i)
+        dV/dW2_i = (s_i - V) / T - s'(x_i) W1_i / (T t_i)
+    """
     w1, w2 = terms.w1, terms.w2
     t = w1 + w2
     total = np.sum(t, axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if measure == "phi":
-            u = t / total
-            theta = np.arctan2(w1, w2)
-            rsq = w1 * w1 + w2 * w2
-            shifted = theta - _QUARTER_PI
-            centered = shifted - np.sum(u * shifted, axis=-1, keepdims=True)
-            c = 4.0 / math.pi
-            g_w1 = c * (centered / total + u * w2 / rsq)
-            g_w2 = c * (centered / total - u * w1 / rsq)
-        else:
-            x = w1 / t
-            value = _psi_raw(w1, w2, lam)[..., None]
-            g = _psi_g(x, lam)
-            if abs(lam) < _LAMBDA_ZERO_THRESHOLD:
-                gprime = (np.log(2.0 * x) - np.log(2.0 * (1.0 - x))) / _LN2
-            else:
-                denom = math.expm1(lam * _LN2)
-                gprime = (lam + 1.0) * ((2.0 * x) ** lam - (2.0 * (1.0 - x)) ** lam) / denom
-            g_w1 = (g - value) / total + gprime * w2 / (total * t)
-            g_w2 = (g - value) / total - gprime * w1 / (total * t)
+        centered = (_scores(w1, w2, measure, lam) - _raw(w1, w2, measure, lam)[..., None]) / total
+        slope = _slope(w1 / t, measure, lam)
+        g_w1 = centered + slope * w2 / (total * t)
+        g_w2 = centered - slope * w1 / (total * t)
         return _chain_to_cells(terms, g_w1, g_w2)
 
 
@@ -651,6 +639,7 @@ def compare_groups(
     if a.measure != b.measure or a.lam != b.lam:
         raise MethodMismatchError("the two reports estimate different measures")
 
+    lo_edge, hi_edge = _RANGE[a.measure]  # a difference lies within +-(hi_edge - lo_edge)
     diff = a.ci.estimate - b.ci.estimate
     se = math.hypot(a.ci.se, b.ci.se)
     z = z_quantile(1.0 - (1.0 - level) / 2.0)
@@ -663,7 +652,7 @@ def compare_groups(
         upper=upper,
         level=level,
         method="delta",
-        exceeds_range=lower < -2.0 or upper > 2.0,
+        exceeds_range=max(-lower, upper) > hi_edge - lo_edge,
     )
     return GroupComparison(
         difference=ci,

@@ -7,16 +7,16 @@ Given the two hazard sequences, each index i contributes a pair of
     W2_i = omega_i^Y (1 - omega_i^X)      (column hazard fires, row does not)
 
 Under marginal homogeneity W1_i = W2_i for every i.  Two summary measures
-are built on these terms:
+are built on these terms, both of one shape: a weighted mean
+
+    V = sum_i u_i s(x_i),    u_i = (W1_i + W2_i) / sum_j (W1_j + W2_j),
+
+of a per-index score s (:func:`_scores`, slope ds/dx :func:`_slope`) of
+the W1 share x_i = W1_i / (W1_i + W2_i).
 
 ``phi``
-    Directional, in [-1, 1].  Each index is mapped to the angle
-    theta_i = arctan(W1_i / W2_i) in [0, pi/2] (equivalently
-    arccos(W2_i / sqrt(W1_i^2 + W2_i^2))), and
-
-        phi = (4/pi) * sum_i w_i (theta_i - pi/4),
-
-    with weights w_i = (W1_i + W2_i) / sum_j (W1_j + W2_j).  phi = +1
+    Directional, in [-1, 1].  The score is (4/pi) (theta_i - pi/4), with
+    the angle theta_i = arctan(W1_i / W2_i) in [0, pi/2].  phi = +1
     exactly when W2 vanishes everywhere (row hazard dominates), -1 when W1
     vanishes everywhere (column hazard dominates), 0 under marginal
     homogeneity.  The sign convention is pinned down by the extreme cases:
@@ -24,10 +24,11 @@ are built on these terms:
 
 ``psi``
     Direction-blind power divergence between the normalized W1 and W2
-    profiles, in [0, 1], indexed by lambda > -1.  psi = 0 iff marginal
-    homogeneity holds; psi = 1 at maximal departure (at every index one of
-    the two terms vanishes).  lambda = 0 is the Kullback-Leibler limit,
-    taken analytically.
+    profiles, in [0, 1], indexed by lambda > -1.  The score is
+    g(x) = (x (2x)^lambda + (1 - x) (2 - 2x)^lambda - 1) / (2^lambda - 1).
+    psi = 0 iff marginal homogeneity holds; psi = 1 at maximal departure (at
+    every index one of the two terms vanishes).  lambda = 0 is the
+    Kullback-Leibler limit, taken analytically.
 
 Both measures are undefined when every W1_i + W2_i = 0
 (:class:`~margshift.errors.DegenerateMassError`).
@@ -182,52 +183,47 @@ def _table_terms(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Terms]:
     return p, totals, t
 
 
-def _phi_raw(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """phi over the last axis without range clamping; NaN where every W1 + W2 = 0.
+def _scores(w1: np.ndarray, w2: np.ndarray, measure: str, lam: float | None) -> np.ndarray:
+    """Per-index scores s(x_i) of phi or psi; finite where W1_i + W2_i = 0.
 
     arctan2 is the smooth extension of arccos(W2 / sqrt(W1^2 + W2^2)) to
-    slightly negative arguments, and yields 0 (with zero weight) at
-    undefined indices instead of NaN.
+    slightly negative arguments, and yields 0, not NaN, at undefined indices.
     """
-    t = w1 + w2
-    with np.errstate(invalid="ignore"):
-        weight = t / np.sum(t, axis=-1, keepdims=True)
-    theta = np.arctan2(w1, w2)
-    return (4.0 / math.pi) * np.sum(weight * (theta - _QUARTER_PI), axis=-1)
-
-
-def _psi_g(x: np.ndarray, lam: float) -> np.ndarray:
-    """Per-index divergence g(x) of the W1 share x = W1 / (W1 + W2)."""
-    if abs(lam) < _LAMBDA_ZERO_THRESHOLD:
-        # analytic lambda -> 0 limit: (1/ln 2) * KL against the midpoint,
-        # with 0 * log 0 = 0
-        def xlog2x(v: np.ndarray) -> np.ndarray:
-            pos = v > 0.0
-            return np.where(pos, v * np.log(2.0 * np.where(pos, v, 1.0)), 0.0)
-
-        return (xlog2x(x) + xlog2x(1.0 - x)) / _LN2
-    denom = math.expm1(lam * _LN2)  # 2^lambda - 1 without cancellation
-
-    def xpow(v: np.ndarray) -> np.ndarray:
-        # v * (2v)^lambda, with the v -> 0 limit 0 for every lambda > -1
-        pos = v > 0.0
-        return np.where(pos, v * (2.0 * np.where(pos, v, 1.0)) ** lam, 0.0)
-
-    return (xpow(x) + xpow(1.0 - x) - 1.0) / denom
-
-
-def _psi_raw(w1: np.ndarray, w2: np.ndarray, lam: float) -> np.ndarray:
-    """psi over the last axis without range clamping; NaN where every W1 + W2 = 0."""
+    if measure == "phi":
+        return (4.0 / math.pi) * (np.arctan2(w1, w2) - _QUARTER_PI)
     t = w1 + w2
     x = w1 / np.where(t > 0.0, t, 1.0)
-    with np.errstate(invalid="ignore"):
-        u = t / np.sum(t, axis=-1, keepdims=True)
-    # an index with W1 + W2 = 0 has u = 0 and a finite g, so it adds 0
-    return np.sum(u * _psi_g(x, lam), axis=-1)
+    kl = abs(lam) < _LAMBDA_ZERO_THRESHOLD  # the analytic lambda -> 0 limit
+
+    def term(v: np.ndarray) -> np.ndarray:
+        # v log(2v) at the limit, else v (2v)^lambda; 0 at v = 0 for every lambda > -1
+        pos = v > 0.0
+        two_v = 2.0 * np.where(pos, v, 1.0)
+        return np.where(pos, v * (np.log(two_v) if kl else two_v**lam), 0.0)
+
+    if kl:  # (1/ln 2) * KL against the midpoint
+        return (term(x) + term(1.0 - x)) / _LN2
+    # expm1 gives 2^lambda - 1 without cancellation
+    return (term(x) + term(1.0 - x) - 1.0) / math.expm1(lam * _LN2)
+
+
+def _slope(x: np.ndarray, measure: str, lam: float | None) -> np.ndarray:
+    """Derivative ds/dx of :func:`_scores` in the W1 share x, for 0 < x < 1."""
+    if measure == "phi":
+        return (4.0 / math.pi) / (x * x + (1.0 - x) * (1.0 - x))
+    if abs(lam) < _LAMBDA_ZERO_THRESHOLD:
+        return (np.log(2.0 * x) - np.log(2.0 * (1.0 - x))) / _LN2
+    return (lam + 1.0) * ((2.0 * x) ** lam - (2.0 * (1.0 - x)) ** lam) / math.expm1(lam * _LN2)
 
 
 def _raw(w1: np.ndarray, w2: np.ndarray, measure: str, lam: float | None) -> np.ndarray:
-    return _phi_raw(w1, w2) if measure == "phi" else _psi_raw(w1, w2, lam)
+    """sum_i u_i s_i over the last axis without range clamping, with weights
+    u_i = (W1_i + W2_i) / sum_j (W1_j + W2_j); NaN where every W1 + W2 = 0."""
+    t = w1 + w2
+    with np.errstate(invalid="ignore"):
+        u = t / np.sum(t, axis=-1, keepdims=True)
+    # an index with W1 + W2 = 0 has u = 0 and a finite score, so it adds 0
+    return np.sum(u * _scores(w1, w2, measure, lam), axis=-1)
 
 
 # logical range of each measure

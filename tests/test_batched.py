@@ -330,6 +330,30 @@ def test_coverage_refuses_when_every_replicate_is_degenerate():
 
 
 # ---------------------------------------------------------------------------
+# gradient
+# ---------------------------------------------------------------------------
+
+GRADIENT_CASES = [("phi", None)] + [
+    ("psi", lam) for lam in (-0.9, -0.5, 0.0, 5e-9, 1e-6, 0.5, 1.0, 3.0, 50.0)
+]
+
+
+@pytest.mark.parametrize("measure, lam", GRADIENT_CASES)
+def test_gradient_matches_the_frozen_chain_rule(measure, lam):
+    # positive cells leave no survival exhausted and no discordance term zero,
+    # so the gradient is defined; Dirichlet shapes from 0.3 to 3 spread the
+    # W1 shares from near 0 to near 1
+    rng = np.random.default_rng(2024)
+    for k in range(200):
+        r = 2 + k % 10
+        p = rng.dirichlet(np.full(r * r, rng.uniform(0.3, 3.0))).reshape(r, r)
+        expected = ref_grad(p, measure, lam)
+        actual = inference._checked_grad(p.ravel(), measure, lam)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(actual - expected)) <= MAX_ULPS * np.spacing(scale), (r, k)
+
+
+# ---------------------------------------------------------------------------
 # chunking
 # ---------------------------------------------------------------------------
 

@@ -161,6 +161,22 @@ class TestTableIO:
         assert_clean_error(proc)
         assert "2^63 - 1" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "text, cell",
+        [
+            ("1,2\n\n3,x\n", "3: column 2: not an integer: 'x'"),
+            ("a,b\n\n1,2\n\n3,x\n", "5: column 2: not an integer: 'x'"),
+            ("\n1,\u00b2\n3,4\n", "2: column 2: not an integer: '\u00b2'"),
+            ("1,2\n\n\u00b2,4\n", "3: column 1: not an integer: '\u00b2'"),
+        ],
+    )
+    def test_positions_count_blank_lines(self, tmp_path, capsys, text, cell):
+        # blank rows are skipped, but the line numbers are the file's
+        path = tmp_path / "blank.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["estimate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:{cell}\n"
+
 
 class TestEstimate:
     def test_reproduces_published_values(self, active_csv, tmp_path, capsys, schema):
@@ -215,6 +231,21 @@ class TestEstimate:
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["estimate", "no-such-file.csv"]) == 1
+
+    @pytest.mark.parametrize("where, message", [
+        ("{tmp}/no/r.json", "no such directory: {tmp}/no"),
+        ("{tmp}/.", "not a file path: '{tmp}/.'"),
+        ("", "not a file path: ''"),
+    ])
+    def test_report_path_that_cannot_be_written_exits_one(
+        self, active_csv, tmp_path, capsys, where, message
+    ):
+        code = main(["estimate", active_csv, "--json", where.format(tmp=tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: argument --json: {message.format(tmp=tmp_path)}\n"
+        assert not (tmp_path / "no").exists()
 
     def test_boundary_table_exits_two(self, tmp_path, capsys):
         path = write_counts(tmp_path / "left.csv", [[0, 0, 0], [0, 0, 0], [40, 60, 0]])
@@ -340,7 +371,36 @@ class TestCurve:
                      "--step", "0.5", "--out", str(tmp_path / "no" / "dir" / "c.csv")]) == 1
 
 
+def no_study(spec):
+    raise AssertionError("a study ran before the command was refused")
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("flag", ["--out", "--json"])
+    def test_output_in_a_missing_directory_is_refused_before_any_study(
+        self, tmp_path, capsys, monkeypatch, flag
+    ):
+        monkeypatch.setattr(cli, "coverage_study", no_study)
+        out = tmp_path / "no" / "x.csv"
+        code = main(["simulate", "--delta=-1,0,1", "--n", "500,1000", "--replicates", "2000",
+                     flag, str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: argument {flag}: no such directory: {out.parent}\n"
+        assert not out.parent.exists()
+
+    def test_bad_grid_cell_is_refused_before_any_study(self, tmp_path, capsys, monkeypatch):
+        # (delta, n) = (0, 500) is valid; n = 5 in the second cell is not
+        monkeypatch.setattr(cli, "coverage_study", no_study)
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--delta=0,1", "--n", "500,5", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sample size") and captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path, schema):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"

@@ -1,13 +1,16 @@
 """Covariance, gradients, Wald and bootstrap intervals, group comparison."""
 
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+import margshift.inference as inference
 from margshift import (
     CountTable,
     DegenerateMassError,
@@ -26,7 +29,7 @@ from margshift import (
     wald_ci,
     z_quantile,
 )
-from margshift.inference import _grad_psi, _percentile
+from margshift.inference import ConfInterval, EstimateReport, _grad_psi, _percentile
 from margshift.measures import _check_lambda
 from conftest import ACTIVE_COUNTS, random_positive_table
 
@@ -396,9 +399,32 @@ class TestCompareGroups:
         with pytest.raises(MethodMismatchError):
             compare_groups(delta, boot)
 
+    @pytest.mark.parametrize(
+        "measure, lam, a, b, exceeds",
+        [("psi", 1.0, 0.95, 0.05, True), ("phi", None, 0.95, 0.05, False),
+         ("phi", None, 0.95, -0.95, True)],
+    )
+    def test_range_of_a_difference_follows_the_measure(self, measure, lam, a, b, exceeds):
+        # a psi difference lies in [-1, 1] and a phi difference in [-2, 2]
+        def report(estimate):
+            ci = ConfInterval(estimate=estimate, se=0.2, lower=estimate - 0.392,
+                              upper=estimate + 0.392, level=0.95, method="delta")
+            return EstimateReport(measure=measure, lam=lam, ci=ci, n=100, gradient_norm=1.0)
+
+        diff = compare_groups(report(a), report(b)).difference
+        assert diff.upper == pytest.approx(a - b + 0.5544, abs=1e-3)
+        assert diff.exceeds_range is exceeds
+
     def test_measure_mismatch_rejected(self, active_table, placebo_table):
         with pytest.raises(MethodMismatchError):
             compare_groups(
                 wald_ci(active_table, measure="phi"),
                 wald_ci(placebo_table, measure="psi", lam=1.0),
             )
+
+
+def test_inference_leaves_every_measure_formula_to_measures():
+    # the gradient is one measure-blind chain rule; scores and slopes live in measures.py
+    source = Path(inference.__file__).read_text(encoding="utf-8")
+    for name in ("arctan2", "expm1", "_psi_g", "_LN2", "_QUARTER_PI", "_LAMBDA_ZERO_THRESHOLD"):
+        assert re.search(rf"\b{name}\b", source) is None, name

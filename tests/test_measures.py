@@ -21,6 +21,7 @@ from margshift import (
     phi,
     psi,
 )
+from margshift.measures import _scores, _slope
 from conftest import random_equal_marginal_table, random_positive_table
 
 # Hand-derived discordance terms for the active-drug group, from the margin
@@ -317,3 +318,23 @@ def test_phi_extremes_iff_one_sided():
     one_sided = ProbTable([[0.0, 0.5, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
     assert phi(table_terms(one_sided)) == 1.0
     assert phi(table_terms(one_sided.transposed())) == -1.0
+
+
+# the lambda grid crosses the analytic lambda -> 0 limit (|lambda| < 1e-8) from both sides
+SCORE_CASES = [("phi", None)] + [
+    ("psi", lam) for lam in (-0.9, -0.5, 0.0, 5e-9, 1e-6, 0.5, 1.0, 3.0, 50.0)
+]
+
+
+@pytest.mark.parametrize("measure, lam", SCORE_CASES)
+def test_slope_is_the_derivative_of_the_score(measure, lam):
+    x = np.linspace(0.02, 0.98, 97)
+    h = 1e-5
+
+    def score(share):
+        return _scores(share, 1.0 - share, measure, lam)
+
+    central = (score(x + h) - score(x - h)) / (2.0 * h)
+    slope = _slope(x, measure, lam)
+    # at h = 1e-5 the central difference is good to about 4e-6 of the scale
+    assert np.max(np.abs(slope - central)) <= 1e-4 * np.max(np.abs(slope))
