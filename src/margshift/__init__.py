@@ -14,100 +14,28 @@ The package adds delta-method and bootstrap confidence intervals for both
 measures, a closed-form link between phi and a constant hazard-odds shift,
 multinomial sampling, a Monte Carlo coverage harness, and a CLI
 (``margshift estimate|compare|curve|simulate``).
+
+Each public name is declared once, in the ``__all__`` of the module that
+defines it; this package re-exports those lists and adds only
+``__version__``.
 """
 
-from .errors import (
-    DegenerateMassError,
-    DomainError,
-    MargshiftError,
-    MethodMismatchError,
-    NonDifferentiableError,
-    ShapeError,
-    TableParseError,
-    TooManyDegenerateReplicatesError,
-    ZeroTotalError,
-)
-from .inference import (
-    ConfInterval,
-    EstimateReport,
-    GroupComparison,
-    bootstrap_ci,
-    compare_groups,
-    grad_fd,
-    grad_phi,
-    multinomial_covariance,
-    wald_ci,
-    z_quantile,
-)
-from .mcor import McorScenario, curve_grid, delta_of_phi, phi_of_delta, scenario_table
-from .measures import (
-    AngleDecomposition,
-    DiscordanceTerms,
-    angle_decomposition,
-    discordance,
-    phi,
-    psi,
-)
-from .simulate import CoverageResult, CoverageStudySpec, coverage_study, sample_table
-from .tables import (
-    CountTable,
-    HazardPair,
-    MarginalPair,
-    ProbTable,
-    from_counts,
-    hazards,
-    marginals,
-)
+from . import errors, inference, mcor, measures, simulate, tables
+from .errors import *  # noqa: F403
+from .inference import *  # noqa: F403
+from .mcor import *  # noqa: F403
+from .measures import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .tables import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # tables
-    "CountTable",
-    "ProbTable",
-    "MarginalPair",
-    "HazardPair",
-    "from_counts",
-    "marginals",
-    "hazards",
-    # measures
-    "DiscordanceTerms",
-    "AngleDecomposition",
-    "discordance",
-    "phi",
-    "psi",
-    "angle_decomposition",
-    # shift model
-    "McorScenario",
-    "phi_of_delta",
-    "delta_of_phi",
-    "scenario_table",
-    "curve_grid",
-    # inference
-    "ConfInterval",
-    "EstimateReport",
-    "GroupComparison",
-    "multinomial_covariance",
-    "grad_phi",
-    "grad_fd",
-    "wald_ci",
-    "bootstrap_ci",
-    "compare_groups",
-    "z_quantile",
-    # simulation
-    "CoverageStudySpec",
-    "CoverageResult",
-    "sample_table",
-    "coverage_study",
-    # errors
-    "MargshiftError",
-    "ShapeError",
-    "ZeroTotalError",
-    "TableParseError",
-    "DomainError",
-    "DegenerateMassError",
-    "NonDifferentiableError",
-    "MethodMismatchError",
-    "TooManyDegenerateReplicatesError",
+    *tables.__all__,
+    *measures.__all__,
+    *mcor.__all__,
+    *inference.__all__,
+    *simulate.__all__,
+    *errors.__all__,
 ]

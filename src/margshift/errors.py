@@ -5,6 +5,18 @@ they raise one of the classes below so callers (and the CLI exit-code
 mapping) can distinguish bad input from statistical degeneracy.
 """
 
+__all__ = [
+    "MargshiftError",
+    "ShapeError",
+    "ZeroTotalError",
+    "TableParseError",
+    "DomainError",
+    "DegenerateMassError",
+    "NonDifferentiableError",
+    "MethodMismatchError",
+    "TooManyDegenerateReplicatesError",
+]
+
 
 class MargshiftError(Exception):
     """Base class for all margshift errors."""

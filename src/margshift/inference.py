@@ -220,7 +220,8 @@ def _grad(terms, measure: str, lam: float | None) -> np.ndarray:
     t = w1 + w2
     total = np.sum(t, axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        centered = (_scores(w1, w2, measure, lam) - _raw(w1, w2, measure, lam)[..., None]) / total
+        scores = _scores(w1, w2, measure, lam)
+        centered = (scores - _raw(w1, w2, scores)[..., None]) / total
         slope = _slope(w1 / t, measure, lam)
         g_w1 = centered + slope * w2 / (total * t)
         g_w2 = centered - slope * w1 / (total * t)
@@ -321,7 +322,7 @@ def grad_fd(
     for lo, hi in _chunks(cells, r):
         step = h * np.eye(hi - lo, cells, lo)  # row k steps cell lo + k
         t = _terms(np.stack((vec + step, vec - step)).reshape(2, hi - lo, r, r))
-        plus, minus = _raw(t.w1, t.w2, measure, lam)
+        plus, minus = _raw(t.w1, t.w2, _scores(t.w1, t.w2, measure, lam))
         grad[lo:hi] = (plus - minus) / (2.0 * h)
     return grad
 

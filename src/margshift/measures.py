@@ -42,8 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateMassError, DomainError, ShapeError
-from .tables import HazardPair, _frozen, _hazard, _margins
+from .errors import DegenerateMassError, DomainError
+from .tables import HazardPair, _freeze_fields, _hazard, _margins
 from .tables import _check_counts, _check_hazards, _check_marginals, _check_probs
 
 __all__ = [
@@ -73,10 +73,7 @@ class DiscordanceTerms:
     w2: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "w1", _frozen(np.asarray(self.w1, dtype=np.float64)))
-        object.__setattr__(self, "w2", _frozen(np.asarray(self.w2, dtype=np.float64)))
-        if self.w1.ndim != 1 or self.w1.shape != self.w2.shape or self.w1.shape[0] < 1:
-            raise ShapeError("w1 and w2 must be 1-d arrays of equal positive length")
+        _freeze_fields(self, w1=np.float64, w2=np.float64)
         _check_discordance(self.w1, self.w2)
 
     @property
@@ -105,11 +102,7 @@ class AngleDecomposition:
     defined: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", _frozen(np.asarray(self.theta, dtype=np.float64)))
-        object.__setattr__(self, "weight", _frozen(np.asarray(self.weight, dtype=np.float64)))
-        object.__setattr__(self, "defined", _frozen(np.asarray(self.defined, dtype=bool)))
-        if not (self.theta.shape == self.weight.shape == self.defined.shape):
-            raise ShapeError("theta, weight and defined must share one shape")
+        _freeze_fields(self, theta=np.float64, weight=np.float64, defined=bool)
         th = self.theta[self.defined]
         if np.any(th < 0.0) or np.any(th > math.pi / 2.0):
             raise DomainError("defined angles must lie in [0, pi/2]")
@@ -216,14 +209,14 @@ def _slope(x: np.ndarray, measure: str, lam: float | None) -> np.ndarray:
     return (lam + 1.0) * ((2.0 * x) ** lam - (2.0 * (1.0 - x)) ** lam) / math.expm1(lam * _LN2)
 
 
-def _raw(w1: np.ndarray, w2: np.ndarray, measure: str, lam: float | None) -> np.ndarray:
-    """sum_i u_i s_i over the last axis without range clamping, with weights
-    u_i = (W1_i + W2_i) / sum_j (W1_j + W2_j); NaN where every W1 + W2 = 0."""
+def _raw(w1: np.ndarray, w2: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """sum_i u_i s_i of the given :func:`_scores` over the last axis, unclamped, with
+    weights u_i = (W1_i + W2_i) / sum_j (W1_j + W2_j); NaN where every W1 + W2 = 0."""
     t = w1 + w2
     with np.errstate(invalid="ignore"):
         u = t / np.sum(t, axis=-1, keepdims=True)
     # an index with W1 + W2 = 0 has u = 0 and a finite score, so it adds 0
-    return np.sum(u * _scores(w1, w2, measure, lam), axis=-1)
+    return np.sum(u * scores, axis=-1)
 
 
 # logical range of each measure
@@ -233,7 +226,7 @@ _RANGE = {"phi": (-1.0, 1.0), "psi": (0.0, 1.0)}
 def _value(w1: np.ndarray, w2: np.ndarray, measure: str, lam: float | None) -> np.ndarray:
     """phi or psi over the last axis, clamped into range; NaN marks degenerate mass."""
     lo, hi = _RANGE[measure]
-    value = _raw(w1, w2, measure, lam)
+    value = _raw(w1, w2, _scores(w1, w2, measure, lam))
     value = np.where((lo - _RANGE_SLACK <= value) & (value < lo), lo, value)
     return np.where((hi < value) & (value <= hi + _RANGE_SLACK), hi, value)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegenerateMassError, DomainError
 from .inference import _MAX_REPLICATES, _check_level, _delta, _refused, _resample, z_quantile
 from .mcor import McorScenario, phi_of_delta, scenario_table
-from .tables import CountTable, ProbTable
+from .tables import _MAX_COUNT, CountTable, ProbTable
 
 __all__ = [
     "sample_table",
@@ -29,13 +29,11 @@ __all__ = [
     "coverage_study",
 ]
 
-# numpy's multinomial takes the sample size as an int64
-_MAX_SAMPLE_SIZE = 2**63 - 1
-
 
 def _check_sample_size(n: int, floor: int) -> int:
     n = int(n)
-    if not floor <= n <= _MAX_SAMPLE_SIZE:
+    # numpy's multinomial takes n as an int64, and n becomes the drawn table's total
+    if not floor <= n <= _MAX_COUNT:
         raise DomainError(f"sample size must lie in [{floor}, 2^63 - 1], got {n}")
     return n
 

@@ -51,6 +51,26 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _freeze_fields(record, **dtypes) -> None:
+    """Store the named fields of a frozen dataclass ``record`` as read-only 1-d
+    copies (never the caller's arrays) of their dtypes; they must share one length
+    of at least 1, else a :class:`ShapeError` names them with their shapes."""
+    arrays = {name: np.array(getattr(record, name), dtype=dtype) for name, dtype in dtypes.items()}
+    shapes = {arr.shape for arr in arrays.values()}
+    if len(shapes) != 1 or len(shape := shapes.pop()) != 1 or shape[0] < 1:
+        got = ", ".join(f"{name} {arr.shape}" for name, arr in arrays.items())
+        raise ShapeError(f"{', '.join(dtypes)} must be 1-d arrays of one length >= 1, got {got}")
+    for name, arr in arrays.items():
+        object.__setattr__(record, name, _frozen(arr))
+
+
+def _square(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` itself if it is an r x r matrix with r >= 2, else a ShapeError."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
+        raise ShapeError(f"{what} must be a square r x r matrix with r >= 2, got shape {arr.shape}")
+    return arr
+
+
 def _tail_sums(v: np.ndarray) -> np.ndarray:
     # s_i = sum_{k >= i} v_k along the last axis, accumulated from the tail so
     # that tiny tail mass is not lost to cancellation (preferred over 1 - F_{i-1}).
@@ -168,11 +188,7 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.counts)  # a copy: the caller's array is never frozen or shared
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
-            raise ShapeError(
-                f"counts must be a square r x r matrix with r >= 2, got shape {arr.shape}"
-            )
+        arr = _square(np.array(self.counts), "counts")  # a copy: never frozen or shared
         object.__setattr__(self, "counts", _frozen(_check_counts(arr)[0]))
 
     @property
@@ -206,11 +222,7 @@ class ProbTable:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.p, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
-            raise ShapeError(
-                f"probability table must be square r x r with r >= 2, got shape {arr.shape}"
-            )
+        arr = _square(np.asarray(self.p, dtype=np.float64), "probability table")
         object.__setattr__(self, "p", _frozen(_check_probs(arr)))
 
     @property
@@ -237,14 +249,8 @@ class MarginalPair:
     col_surv: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("row", "col", "row_cum", "col_cum", "row_surv", "col_surv"):
-            object.__setattr__(
-                self, name, _frozen(np.asarray(getattr(self, name), dtype=np.float64))
-            )
-        r = self.row.shape[0]
-        for name in ("col", "row_cum", "col_cum", "row_surv", "col_surv"):
-            if getattr(self, name).shape != (r,):
-                raise ShapeError(f"{name} must have length {r}")
+        f = np.float64
+        _freeze_fields(self, row=f, col=f, row_cum=f, col_cum=f, row_surv=f, col_surv=f)
         _check_marginals(
             self.row, self.col, self.row_cum, self.col_cum, self.row_surv, self.col_surv
         )
@@ -270,16 +276,9 @@ class HazardPair:
     exhausted_y: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega_x", _frozen(np.asarray(self.omega_x, dtype=np.float64)))
-        object.__setattr__(self, "omega_y", _frozen(np.asarray(self.omega_y, dtype=np.float64)))
-        object.__setattr__(self, "exhausted_x", _frozen(np.asarray(self.exhausted_x, dtype=bool)))
-        object.__setattr__(self, "exhausted_y", _frozen(np.asarray(self.exhausted_y, dtype=bool)))
-        m = self.omega_x.shape[0]
-        if m < 1:
-            raise ShapeError("hazard sequences must have length r - 1 >= 1")
-        for name in ("omega_y", "exhausted_x", "exhausted_y"):
-            if getattr(self, name).shape != (m,):
-                raise ShapeError(f"{name} must have length {m}")
+        _freeze_fields(
+            self, omega_x=np.float64, omega_y=np.float64, exhausted_x=bool, exhausted_y=bool
+        )
         _check_hazards(self.omega_x, self.omega_y, self.exhausted_x, self.exhausted_y)
 
     @property
