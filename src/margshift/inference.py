@@ -54,7 +54,7 @@ from .measures import (
     _terms,
     _value,
 )
-from .tables import CountTable, from_counts
+from .tables import CountTable, _check_probs, from_counts
 
 __all__ = [
     "ConfInterval",
@@ -152,7 +152,7 @@ def _check_measure(measure: str, lam: float | None) -> tuple[str, float | None]:
 
 
 def _flat_prob(p: np.ndarray) -> tuple[np.ndarray, int]:
-    """Validate a flat cell-probability vector and return it with r."""
+    """Validate a flat cell-probability vector as ProbTable cells; return it as given, with r."""
     vec = np.asarray(p, dtype=np.float64)
     if vec.ndim != 1:
         raise DomainError("flat probability vector must be 1-d")
@@ -161,10 +161,7 @@ def _flat_prob(p: np.ndarray) -> tuple[np.ndarray, int]:
         raise DomainError(
             f"vector length {vec.shape[0]} is not r^2 for a table with r >= 2"
         )
-    if not np.all(np.isfinite(vec)) or np.any(vec < 0.0):
-        raise DomainError("cell probabilities must be finite and nonnegative")
-    if abs(float(vec.sum()) - 1.0) > 1e-9:
-        raise DomainError("cell probabilities must sum to 1")
+    _check_probs(vec.reshape(r, r))
     return vec, r
 
 
@@ -173,7 +170,7 @@ def _refusals(terms, measure: str):
     each reason the gradient is refused, in the order the reasons are reported."""
     w1, w2 = terms.w1, terms.w2
     vanish = (w1 + w2) == 0.0
-    boundary = ("the estimate sits at the boundary phi = {}; "
+    boundary = ("the estimate sits at the boundary " + measure + " = {}; "
                 "the delta-method interval is undefined there")
     nondiff = NonDifferentiableError
     checks = [
@@ -185,7 +182,8 @@ def _refusals(terms, measure: str):
          vanish, np.all),
         (nondiff, "both discordance terms vanish at index {i}; the angle there is undefined",
          vanish, np.any),
-        (nondiff, boundary.format(-1), w1 == 0.0, np.all),
+        # phi is -1 where every W1 vanishes and +1 where every W2 does; psi is 1 at both
+        (nondiff, boundary.format(-1 if measure == "phi" else 1), w1 == 0.0, np.all),
         (nondiff, boundary.format(1), w2 == 0.0, np.all),
     ]
     if measure == "psi":

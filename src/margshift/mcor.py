@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .tables import ProbTable, _frozen
+from .tables import ProbTable, _freeze_fields
 
 __all__ = [
     "McorScenario",
@@ -64,15 +64,13 @@ class McorScenario:
     delta: float
 
     def __post_init__(self) -> None:
-        base = np.asarray(self.base_haz_x, dtype=np.float64)
-        if base.ndim != 1 or base.shape[0] < 1:
-            raise DomainError("base_haz_x must be a 1-d sequence of length >= 1")
+        _freeze_fields(self, base_haz_x=np.float64)
+        base = self.base_haz_x
         if not np.all(np.isfinite(base)) or np.any(base <= 0.0) or np.any(base >= 1.0):
             raise DomainError("base hazards must lie strictly in (0, 1)")
         delta = float(self.delta)
         if not math.isfinite(delta):
             raise DomainError("delta must be finite")
-        object.__setattr__(self, "base_haz_x", _frozen(base))
         object.__setattr__(self, "delta", delta)
         omega_y = self.omega_y
         if np.any(omega_y <= 0.0) or np.any(omega_y >= 1.0):

@@ -77,8 +77,9 @@ def _tail_sums(v: np.ndarray) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(v, -1), -1), -1)
 
 
-# The invariant checks below take any leading batch shape, so a stack of
-# tables is validated in one call with the same errors a single table gets.
+# The invariant checks below take any leading batch shape.  Only
+# _check_counts is run on stacks (by measures._table_terms): every later value
+# of the chain is derived from valid counts, and the records check the rest.
 
 
 def _check_counts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,21 +117,25 @@ def _python_ints(arr: np.ndarray) -> bool:
     )
 
 
-def _check_probs(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """ProbTable invariants over (..., r, r); returns the renormalized cells,
-    written to ``out`` if given (which may be ``arr`` itself)."""
+def _table_mass(arr: np.ndarray) -> np.ndarray:
+    """Each table's sum over its flattened cells, (..., 1, 1); it renormalizes the table."""
+    return arr.reshape(*arr.shape[:-2], -1).sum(axis=-1)[..., None, None]
+
+
+def _check_probs(arr: np.ndarray) -> np.ndarray:
+    """ProbTable invariants over (..., r, r); returns the renormalized cells."""
     if not np.all(np.isfinite(arr)):
         raise DomainError("probabilities must be finite")
     if np.any(arr < 0):
         raise DomainError("probabilities must be nonnegative")
-    total = arr.reshape(*arr.shape[:-2], -1).sum(axis=-1)[..., None, None]
+    total = _table_mass(arr)
     off = np.abs(total - 1.0) > PROB_SUM_TOL
     if np.any(off):
         raise DomainError(
             f"probabilities sum to {float(total[off][0])!r}, more than {PROB_SUM_TOL} away from 1"
         )
     # x / 1.0 == x, so exact-mass tables come back unchanged
-    return np.divide(arr, total, out=out)
+    return arr / total
 
 
 def _check_marginals(row, col, row_cum, col_cum, row_surv, col_surv) -> None:

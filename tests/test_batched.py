@@ -30,11 +30,17 @@ from margshift import (
     TooManyDegenerateReplicatesError,
     bootstrap_ci,
     coverage_study,
+    discordance,
+    from_counts,
+    hazards,
+    marginals,
     phi_of_delta,
     scenario_table,
     wald_ci,
     z_quantile,
 )
+from margshift.measures import _check_discordance, _table_terms
+from margshift.tables import _check_hazards, _check_marginals, _check_probs
 from conftest import ACTIVE_COUNTS
 
 MAX_ULPS = 8
@@ -351,6 +357,82 @@ def test_gradient_matches_the_frozen_chain_rule(measure, lam):
         actual = inference._checked_grad(p.ravel(), measure, lam)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(actual - expected)) <= MAX_ULPS * np.spacing(scale), (r, k)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's derived values
+# ---------------------------------------------------------------------------
+
+# _table_terms checks only the counts; on these stacks everything it derives
+# from them passes the record checks it does not run, and equals the public chain
+KERNEL_KINDS = ["random", "sparse", "exhausted", "single cell", "near the count limit",
+                "homogeneous"]
+KERNEL_SIZES = (2, 3, 5, 12, 47, 200)
+MAX_COUNT = 2**63 - 1
+
+
+def kernel_stack(kind, r, rng):
+    """Eight r x r count tables of one kind, two at r = 200; none sums to 0."""
+    shape = (2 if r > 50 else 8, r, r)
+    if kind == "random":
+        counts = rng.integers(0, 50, shape)
+    elif kind == "sparse":
+        counts = rng.integers(1, 50, shape) * (rng.random(shape) < 2.0 / r)
+    elif kind == "exhausted":
+        # the last categories of each margin hold no mass
+        counts = rng.integers(1, 50, shape)
+        for table in counts:
+            table[rng.integers(1, r):, :] = 0
+            table[:, rng.integers(1, r):] = 0
+    elif kind == "single cell":
+        counts = np.zeros(shape, dtype=np.int64)
+        for table in counts:
+            table[tuple(rng.integers(0, r, 2))] = rng.integers(1, MAX_COUNT, endpoint=True)
+    elif kind == "near the count limit":
+        # every total stays within 2^63 - 1, the largest a table may have
+        top = MAX_COUNT // (r * r)
+        counts = top - rng.integers(0, 1000, shape)
+        counts[0] = rng.integers(0, top, shape[1:], endpoint=True)
+        # last categories holding 1e-19 to 1e-17 of the mass, where 1 - F would cancel
+        counts[1, -1, :] = 1
+        counts[1, :, -1] = 1
+    else:  # equal margins: W1 = W2 at every index
+        counts = rng.integers(0, 50, shape)
+        counts += counts.swapaxes(-1, -2)
+    counts[..., 0, 0] += counts.sum(axis=(-2, -1)) == 0
+    return counts
+
+
+def kernel_stacks(kind):
+    rng = np.random.default_rng(KERNEL_KINDS.index(kind))
+    return [kernel_stack(kind, r, rng) for r in KERNEL_SIZES]
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_the_kernel_derives_only_values_the_records_accept(kind):
+    exhausted = False
+    for counts in kernel_stacks(kind):
+        p, totals, t = _table_terms(counts)
+        np.testing.assert_array_equal(totals[..., 0, 0], counts.sum(axis=(-2, -1)))
+        _check_probs(p)
+        row, col = p.sum(axis=-1), p.sum(axis=-2)
+        _check_marginals(row, col, np.cumsum(row, -1), np.cumsum(col, -1), t.surv_x, t.surv_y)
+        _check_hazards(t.omega_x, t.omega_y, t.exhausted_x, t.exhausted_y)
+        _check_discordance(t.w1, t.w2)
+        exhausted |= bool(np.any(t.exhausted_x) and np.any(t.exhausted_y))
+    assert exhausted or kind not in ("exhausted", "single cell")
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_the_kernel_matches_the_public_chain_bit_for_bit(kind):
+    for counts in kernel_stacks(kind):
+        p, _, t = _table_terms(counts)
+        for k, table in enumerate(counts):
+            prob = from_counts(CountTable(table))
+            d = discordance(hazards(marginals(prob)))
+            np.testing.assert_array_equal(prob.p, p[k])
+            np.testing.assert_array_equal(d.w1, t.w1[k])
+            np.testing.assert_array_equal(d.w2, t.w2[k])
 
 
 # ---------------------------------------------------------------------------

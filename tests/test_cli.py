@@ -254,6 +254,17 @@ class TestEstimate:
         assert "phi = -1.000000" in err
         assert "refused" in err
 
+    @pytest.mark.parametrize("counts, measure, edge", [
+        ([[0, 3], [0, 0]], "phi", "phi = 1;"),
+        ([[0, 3], [0, 0]], "psi:0", "psi = 1;"),
+        ([[0, 0], [3, 0]], "psi:1", "psi = 1;"),
+    ])
+    def test_boundary_refusal_names_the_measure(self, tmp_path, capsys, counts, measure, edge):
+        path = write_counts(tmp_path / "edge.csv", counts)
+        assert main(["estimate", str(path), "--measure", measure]) == 2
+        err = capsys.readouterr().err
+        assert f"refused: the estimate sits at the boundary {edge}" in err
+
     def test_degenerate_table_exits_two(self, tmp_path, capsys):
         path = write_counts(tmp_path / "pm.csv", [[9, 0], [0, 0]])
         assert main(["estimate", str(path)]) == 2

@@ -72,6 +72,15 @@ class TestMultinomialCovariance:
         with pytest.raises(DomainError):
             multinomial_covariance(np.array([0.7, 0.1, 0.1, 0.2]))  # off-mass
 
+    def test_checks_the_vector_as_a_prob_table_and_uses_it_as_given(self):
+        for bad, message in (([0.5, 0.5, np.nan, 0.0], "finite"),
+                             ([0.5, 0.6, -0.1, 0.0], "nonnegative"),
+                             ([0.5, 0.5, 0.5, 0.0], "sum to 1.5")):
+            with pytest.raises(DomainError, match=message):
+                multinomial_covariance(np.array(bad))
+        vec = np.array([0.25, 0.25, 0.25, 0.25 + 1e-10])  # within tolerance, not renormalized
+        np.testing.assert_array_equal(multinomial_covariance(vec), np.diag(vec) - np.outer(vec, vec))
+
 
 class TestGradients:
     def test_matches_finite_differences_on_real_data(self, active_table):

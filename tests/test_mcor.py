@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from margshift import (
     DomainError,
     McorScenario,
+    ShapeError,
     curve_grid,
     delta_of_phi,
     discordance,
@@ -93,6 +94,19 @@ class TestScenario:
         for bad in ([0.0, 0.5], [0.5, 1.0], [-0.1, 0.5], [float("nan"), 0.5]):
             with pytest.raises(DomainError):
                 McorScenario(base_haz_x=np.array(bad), delta=0.0)
+
+    def test_base_hazards_are_a_frozen_copy(self):
+        base = np.array([0.3, 0.4])
+        s = McorScenario(base, 0.1)
+        assert base.flags.writeable
+        assert not s.base_haz_x.flags.writeable
+        base[0] = 0.9
+        assert s.base_haz_x[0] == 0.3
+
+    @pytest.mark.parametrize("base", [[[0.3, 0.4]], [[0.3], [0.4]], []])
+    def test_base_hazards_must_be_one_nonempty_row(self, base):
+        with pytest.raises(ShapeError):
+            McorScenario(base, 0.1)
 
     def test_saturating_shift_rejected(self):
         with pytest.raises(DomainError):
