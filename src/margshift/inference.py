@@ -41,6 +41,7 @@ from .errors import (
     DomainError,
     MethodMismatchError,
     NonDifferentiableError,
+    ShapeError,
     TooManyDegenerateReplicatesError,
 )
 from .measures import (
@@ -54,7 +55,7 @@ from .measures import (
     _terms,
     _value,
 )
-from .tables import CountTable, _check_probs, from_counts
+from .tables import CountTable, _check_probs, _integer, _real, from_counts
 
 __all__ = [
     "ConfInterval",
@@ -135,30 +136,27 @@ class GroupComparison:
 
 
 def _check_level(level: float) -> float:
-    level = float(level)
-    if not (0.0 < level < 1.0):
-        raise DomainError(f"confidence level must lie in (0, 1), got {level!r}")
-    return level
+    return _real(level, "confidence level", 0.0, 1.0)
 
 
 def _check_measure(measure: str, lam: float | None) -> tuple[str, float | None]:
     if measure not in ("phi", "psi"):
         raise DomainError(f"measure must be 'phi' or 'psi', got {measure!r}")
     if measure == "phi":
+        if lam is not None:
+            raise DomainError(f"measure 'phi' takes no lambda value, got {lam!r}")
         return "phi", None
-    if lam is None:
-        raise DomainError("measure 'psi' needs a lambda value")
-    return "psi", _check_lambda(lam)
+    return "psi", _check_lambda(lam)  # a missing lambda is refused there
 
 
 def _flat_prob(p: np.ndarray) -> tuple[np.ndarray, int]:
     """Validate a flat cell-probability vector as ProbTable cells; return it as given, with r."""
     vec = np.asarray(p, dtype=np.float64)
     if vec.ndim != 1:
-        raise DomainError("flat probability vector must be 1-d")
+        raise ShapeError("flat probability vector must be 1-d")
     r = math.isqrt(vec.shape[0])
     if r * r != vec.shape[0] or r < 2:
-        raise DomainError(
+        raise ShapeError(
             f"vector length {vec.shape[0]} is not r^2 for a table with r >= 2"
         )
     _check_probs(vec.reshape(r, r))
@@ -309,9 +307,7 @@ def grad_fd(
     lam : float, optional
         Divergence index, required when measure is "psi".
     """
-    h = float(h)
-    if not (0.0 < h < 1e-3):
-        raise DomainError(f"step must satisfy 0 < h < 1e-3, got {h!r}")
+    h = _real(h, "step h", 0.0, 1e-3)
     measure, lam = _check_measure(measure, lam)
     vec, r = _flat_prob(p)
     _refuse(_terms(vec.reshape(r, r)), measure)  # same contract as the analytic route
@@ -543,14 +539,8 @@ def bootstrap_ci(
         table = CountTable(table)
     level = _check_level(level)
     measure, lam = _check_measure(measure, lam)
-    replicates = int(replicates)
-    if replicates < 200:
-        raise DomainError(f"bootstrap needs at least 200 replicates, got {replicates}")
-    if replicates > _MAX_REPLICATES:
-        raise DomainError(f"bootstrap takes at most 2^32 replicates, got {replicates}")
-    seed = int(seed)
-    if seed < 0:
-        raise DomainError("seed must be a nonnegative integer")
+    replicates = _integer(replicates, "replicates", 200, _MAX_REPLICATES)
+    seed = _integer(seed, "seed", 0)
 
     n = table.n
     chunks = []
@@ -668,7 +658,4 @@ def z_quantile(q: float) -> float:
     """
     from statistics import NormalDist
 
-    q = float(q)
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"quantile level must lie in (0, 1), got {q!r}")
-    return NormalDist().inv_cdf(q)
+    return NormalDist().inv_cdf(_real(q, "quantile level", 0.0, 1.0))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .tables import ProbTable, _freeze_fields
+from .tables import ProbTable, _freeze_fields, _real
 
 __all__ = [
     "McorScenario",
@@ -68,10 +68,7 @@ class McorScenario:
         base = self.base_haz_x
         if not np.all(np.isfinite(base)) or np.any(base <= 0.0) or np.any(base >= 1.0):
             raise DomainError("base hazards must lie strictly in (0, 1)")
-        delta = float(self.delta)
-        if not math.isfinite(delta):
-            raise DomainError("delta must be finite")
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", _real(self.delta, "delta"))
         omega_y = self.omega_y
         if np.any(omega_y <= 0.0) or np.any(omega_y >= 1.0):
             raise DomainError(
@@ -99,9 +96,7 @@ def phi_of_delta(delta: float) -> float:
     Evaluated as (4/pi) * arctan(e^{-delta}) - 1 with a reflected branch for
     delta < 0, so no intermediate can overflow for any finite delta.
     """
-    delta = float(delta)
-    if not math.isfinite(delta):
-        raise DomainError("delta must be finite")
+    delta = _real(delta, "delta")
     if delta >= 0.0:
         theta = math.atan(math.exp(-delta))
     else:
@@ -116,9 +111,7 @@ def delta_of_phi(phi_val: float) -> float:
     delta = (1/2) ln(cos^2 theta / (1 - cos^2 theta)), computed as
     ln(cos theta) - ln(sin theta) to stay accurate near both endpoints.
     """
-    phi_val = float(phi_val)
-    if not math.isfinite(phi_val) or abs(phi_val) >= 1.0:
-        raise DomainError(f"phi must lie strictly in (-1, 1), got {phi_val!r}")
+    phi_val = _real(phi_val, "phi", -1.0, 1.0)
     theta = math.pi * (phi_val + 1.0) / 4.0
     return math.log(math.cos(theta)) - math.log(math.sin(theta))
 
@@ -160,13 +153,9 @@ def curve_grid(
         If the range is empty or degenerate (fewer than two points), or has
         more than 10^6 points, or step <= 0, or any bound is not finite.
     """
-    delta_min = float(delta_min)
-    delta_max = float(delta_max)
-    step = float(step)
-    if not (math.isfinite(delta_min) and math.isfinite(delta_max) and math.isfinite(step)):
-        raise DomainError("grid bounds and step must be finite")
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step!r}")
+    delta_min = _real(delta_min, "delta_min")
+    delta_max = _real(delta_max, "delta_max")
+    step = _real(step, "step", 0.0)
     if delta_min >= delta_max:
         raise DomainError(
             f"delta_min must be smaller than delta_max, got [{delta_min!r}, {delta_max!r}]"

@@ -43,7 +43,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateMassError, DomainError
-from .tables import HazardPair, _check_counts, _freeze_fields, _hazard, _margins, _table_mass
+from .tables import (
+    HazardPair,
+    _check_counts,
+    _freeze_fields,
+    _hazard,
+    _real,
+    _table_mass,
+    _tail_sums,
+)
 
 __all__ = [
     "DiscordanceTerms",
@@ -110,9 +118,7 @@ class AngleDecomposition:
 
 
 def _check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= -1.0:
-        raise DomainError(f"lambda must be a finite number > -1, got {lam!r}")
+    lam = _real(lam, "lambda", -1.0)
     # the psi gradient forms (lambda + 1) (2x)^lambda, x <= 1, before dividing
     # by 2^lambda - 1; beyond 2^lambda itself it overflows from about 1014 on
     if lam >= 1024.0 or math.isinf((lam + 1.0) * 2.0**lam):
@@ -152,7 +158,8 @@ def _terms(cells: np.ndarray) -> _Terms:
 
     Unvalidated, so it stays evaluable off the simplex (finite differences).
     """
-    row, col, surv_x, surv_y = _margins(cells)
+    row, col = cells.sum(axis=-1), cells.sum(axis=-2)
+    surv_x, surv_y = _tail_sums(row), _tail_sums(col)
     omega_x, exhausted_x = _hazard(row, surv_x)
     omega_y, exhausted_y = _hazard(col, surv_y)
     w1, w2 = _w(omega_x, omega_y)

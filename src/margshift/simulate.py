@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegenerateMassError, DomainError
 from .inference import _MAX_REPLICATES, _check_level, _delta, _refused, _resample, z_quantile
 from .mcor import McorScenario, phi_of_delta, scenario_table
-from .tables import _MAX_COUNT, CountTable, ProbTable
+from .tables import _MAX_COUNT, CountTable, ProbTable, _integer
 
 __all__ = [
     "sample_table",
@@ -28,14 +28,6 @@ __all__ = [
     "CoverageResult",
     "coverage_study",
 ]
-
-
-def _check_sample_size(n: int, floor: int) -> int:
-    n = int(n)
-    # numpy's multinomial takes n as an int64, and n becomes the drawn table's total
-    if not floor <= n <= _MAX_COUNT:
-        raise DomainError(f"sample size must lie in [{floor}, 2^63 - 1], got {n}")
-    return n
 
 
 def sample_table(prob: ProbTable, n: int, seed) -> CountTable:
@@ -47,13 +39,16 @@ def sample_table(prob: ProbTable, n: int, seed) -> CountTable:
     n : int
         Sample size, >= 1.
     seed : int, SeedSequence or Generator
-        Anything :func:`numpy.random.default_rng` accepts; a fixed seed
-        gives a fixed table.
+        A nonnegative integer or a SeedSequence seeds a new generator; a
+        Generator is drawn from as it is.  A fixed seed gives a fixed table.
     """
     if not isinstance(prob, ProbTable):
         prob = ProbTable(prob)
-    n = _check_sample_size(n, 1)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    # numpy's multinomial takes n as an int64, and n becomes the drawn table's total
+    n = _integer(n, "sample size", 1, _MAX_COUNT)
+    if not isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
+        seed = _integer(seed, "seed", 0)
+    rng = np.random.default_rng(seed)  # returns a Generator as it is
     counts = rng.multinomial(n, prob.p.ravel()).reshape(prob.r, prob.r)
     return CountTable(counts)
 
@@ -71,14 +66,12 @@ class CoverageStudySpec:
     def __post_init__(self) -> None:
         if not isinstance(self.scenario, McorScenario):
             raise DomainError("scenario must be an McorScenario")
-        if not 100 <= int(self.replicates) <= _MAX_REPLICATES:
-            raise DomainError(f"replicates must lie in [100, 2^32], got {self.replicates}")
-        object.__setattr__(self, "n", _check_sample_size(self.n, 10))
+        object.__setattr__(
+            self, "replicates", _integer(self.replicates, "replicates", 100, _MAX_REPLICATES)
+        )
+        object.__setattr__(self, "n", _integer(self.n, "sample size", 10, _MAX_COUNT))
         object.__setattr__(self, "level", _check_level(self.level))
-        if int(self.seed) < 0:
-            raise DomainError("seed must be a nonnegative integer")
-        object.__setattr__(self, "replicates", int(self.replicates))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ so they are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +63,39 @@ def _freeze_fields(record, **dtypes) -> None:
         raise ShapeError(f"{', '.join(dtypes)} must be 1-d arrays of one length >= 1, got {got}")
     for name, arr in arrays.items():
         object.__setattr__(record, name, _frozen(arr))
+
+
+# how messages spell the large integer bounds
+_BOUND_SPELLING = {_MAX_COUNT: "2^63 - 1", 2**32: "2^32"}
+
+
+def _real(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``value`` as a finite float strictly inside (lo, hi); every real range of
+    the package is open.  Anything else is a DomainError naming ``name``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and lo < x < hi):
+        raise DomainError(f"{name} must be a finite number in ({lo:g}, {hi:g}), got {value!r}")
+    return x
+
+
+def _integer(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int in [lo, hi]: a Python or numpy integer, or a float of
+    integral value.  Anything else, bools included, is a DomainError naming ``name``."""
+    n = value
+    if isinstance(n, (float, np.floating)) and float(n).is_integer():
+        n = int(n)
+    if (
+        isinstance(n, bool)
+        or not isinstance(n, (int, np.integer))
+        or n < lo
+        or (hi is not None and n > hi)
+    ):
+        top = "inf)" if hi is None else _BOUND_SPELLING.get(hi, str(hi)) + "]"
+        raise DomainError(f"{name} must be an integer in [{lo}, {top}, got {value!r}")
+    return int(n)
 
 
 def _square(arr: np.ndarray, what: str) -> np.ndarray:
@@ -138,18 +172,15 @@ def _check_probs(arr: np.ndarray) -> np.ndarray:
     return arr / total
 
 
-def _check_marginals(row, col, row_cum, col_cum, row_surv, col_surv) -> None:
-    """MarginalPair value invariants over (..., r)."""
+def _check_marginals(row, col) -> None:
+    """MarginalPair value invariants over (..., r): finite, nonnegative entries
+    that sum to 1.  The cumulative and survival sequences are derived from the
+    entries, so they need no check of their own."""
     for name, marg in (("row", row), ("col", col)):
+        if not np.all(np.isfinite(marg)) or np.any(marg < 0.0):
+            raise DomainError(f"{name} marginal entries must be finite and nonnegative")
         if np.any(np.abs(marg.sum(axis=-1) - 1.0) > _INVARIANT_TOL):
             raise DomainError(f"{name} marginal does not sum to 1")
-    for cum, surv, name in ((row_cum, row_surv, "row"), (col_cum, col_surv, "col")):
-        # s_i = 1 - F_{i-1} with F_0 = 0
-        prev = np.concatenate((np.zeros_like(cum[..., :1]), cum[..., :-1]), axis=-1)
-        if np.any(np.abs(surv - (1.0 - prev)) > _INVARIANT_TOL):
-            raise DomainError(f"{name} survivals are inconsistent with cumulatives")
-        if np.any(np.diff(surv, axis=-1) > 0.0):
-            raise DomainError(f"{name} survivals must be nonincreasing")
 
 
 def _check_hazards(omega_x, omega_y, exhausted_x, exhausted_y) -> None:
@@ -162,13 +193,6 @@ def _check_hazards(omega_x, omega_y, exhausted_x, exhausted_y) -> None:
             raise DomainError(f"{name} entries must lie in [0, 1]")
         if np.any(omega[flag] != 0.0):
             raise DomainError(f"exhausted {name} entries must be 0 by convention")
-
-
-def _margins(p: np.ndarray):
-    """Row and column marginals of (..., r, r) cells with their tail-sum survivals."""
-    row = p.sum(axis=-1)
-    col = p.sum(axis=-2)
-    return row, col, _tail_sums(row), _tail_sums(col)
 
 
 def _hazard(mass: np.ndarray, surv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,23 +266,27 @@ class ProbTable:
 class MarginalPair:
     """Row/column marginals with their cumulative and survival sequences.
 
-    ``row_surv[i]`` is the tail mass of the row margin from category i+1 on
-    (1-indexed: s_i = P(X >= i)); likewise for the column margin.
+    Only ``row`` and ``col`` are supplied; the cumulative sums and the
+    survivals are derived from them.  ``row_surv[i]`` is the tail mass of the
+    row margin from category i+1 on (1-indexed: s_i = P(X >= i)), accumulated
+    as a tail sum rather than 1 - F_{i-1}: the two agree mathematically, but
+    the tail sum avoids cancellation when the remaining mass is tiny.
+    Likewise for the column margin.
     """
 
     row: np.ndarray
     col: np.ndarray
-    row_cum: np.ndarray
-    col_cum: np.ndarray
-    row_surv: np.ndarray
-    col_surv: np.ndarray
+    row_cum: np.ndarray = field(init=False)
+    col_cum: np.ndarray = field(init=False)
+    row_surv: np.ndarray = field(init=False)
+    col_surv: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        f = np.float64
-        _freeze_fields(self, row=f, col=f, row_cum=f, col_cum=f, row_surv=f, col_surv=f)
-        _check_marginals(
-            self.row, self.col, self.row_cum, self.col_cum, self.row_surv, self.col_surv
-        )
+        _freeze_fields(self, row=np.float64, col=np.float64)
+        _check_marginals(self.row, self.col)
+        for name, marg in (("row", self.row), ("col", self.col)):
+            object.__setattr__(self, f"{name}_cum", _frozen(np.cumsum(marg)))
+            object.__setattr__(self, f"{name}_surv", _frozen(_tail_sums(marg)))
 
     @property
     def r(self) -> int:
@@ -306,36 +334,20 @@ def from_counts(table: CountTable) -> ProbTable:
 
 
 def marginals(prob: ProbTable) -> MarginalPair:
-    """Row/column marginals with cumulative and survival sequences.
-
-    Survivals are accumulated as tail sums rather than 1 - F_{i-1}; the two
-    forms agree mathematically but the tail sum avoids cancellation when
-    the remaining mass is tiny.
-    """
-    row, col, row_surv, col_surv = _margins(prob.p)
-    return MarginalPair(
-        row=row,
-        col=col,
-        row_cum=np.cumsum(row),
-        col_cum=np.cumsum(col),
-        row_surv=row_surv,
-        col_surv=col_surv,
-    )
+    """Row/column marginals with cumulative and survival sequences."""
+    return MarginalPair(row=prob.p.sum(axis=-1), col=prob.p.sum(axis=-2))
 
 
 def hazards(marg: MarginalPair) -> HazardPair:
     """Discrete-time hazards omega_i = p_i / s_i for i = 1..r-1.
 
     Indices with s_i = 0 are flagged exhausted and get omega_i = 0; see
-    :class:`HazardPair`.
+    :class:`HazardPair`.  Each hazard lies in [0, 1] without clamping: the
+    margins are nonnegative and each survival is their tail sum
+    s_i = fl(s_{i+1} + p_i) >= p_i.
     """
     omega_x, exhausted_x = _hazard(marg.row, marg.row_surv)
     omega_y, exhausted_y = _hazard(marg.col, marg.col_surv)
-    # a caller-built MarginalPair may carry survivals a rounding error below
-    # the mass (within its invariant tolerance); guard the last ulp
     return HazardPair(
-        omega_x=np.minimum(omega_x, 1.0),
-        omega_y=np.minimum(omega_y, 1.0),
-        exhausted_x=exhausted_x,
-        exhausted_y=exhausted_y,
+        omega_x=omega_x, omega_y=omega_y, exhausted_x=exhausted_x, exhausted_y=exhausted_y
     )

@@ -18,6 +18,7 @@ from margshift import (
     McorScenario,
     MethodMismatchError,
     NonDifferentiableError,
+    ShapeError,
     TooManyDegenerateReplicatesError,
     bootstrap_ci,
     compare_groups,
@@ -67,10 +68,17 @@ class TestMultinomialCovariance:
         assert np.min(np.linalg.eigvalsh(xi)) > -1e-12
 
     def test_rejects_bad_vectors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ShapeError):
             multinomial_covariance(np.array([0.5, 0.5, 0.5]))  # not r^2
         with pytest.raises(DomainError):
             multinomial_covariance(np.array([0.7, 0.1, 0.1, 0.2]))  # off-mass
+
+    @pytest.mark.parametrize("fn", [multinomial_covariance, grad_phi, grad_fd])
+    def test_a_misshapen_vector_is_a_shape_error(self, fn):
+        with pytest.raises(ShapeError, match="1-d"):
+            fn(np.full((2, 2), 0.25))
+        with pytest.raises(ShapeError, match="not r\\^2"):
+            fn(np.full(3, 1 / 3))
 
     def test_checks_the_vector_as_a_prob_table_and_uses_it_as_given(self):
         for bad, message in (([0.5, 0.5, np.nan, 0.0], "finite"),
@@ -273,6 +281,10 @@ class TestWaldCI:
             wald_ci(active_table, 0.95, "tau")
         with pytest.raises(DomainError):
             wald_ci(active_table, 0.95, "psi")  # lambda missing
+        with pytest.raises(DomainError, match="no lambda"):
+            wald_ci(active_table, 0.95, "phi", 2.0)
+        with pytest.raises(DomainError, match="no lambda"):
+            grad_fd(flat(active_table), measure="phi", lam=0.0)
 
 
 def largest_accepted_lambda() -> float:

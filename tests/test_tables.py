@@ -165,15 +165,13 @@ class TestMarginals:
             assert np.all(np.diff(surv) <= 0)
 
     def test_invalid_marginal_pair_rejected(self):
-        with pytest.raises(DomainError):
-            MarginalPair(
-                row=[0.5, 0.4],  # does not sum to 1
-                col=[0.5, 0.5],
-                row_cum=[0.5, 0.9],
-                col_cum=[0.5, 1.0],
-                row_surv=[1.0, 0.5],
-                col_surv=[1.0, 0.5],
-            )
+        with pytest.raises(DomainError, match="sum to 1"):
+            MarginalPair(row=[0.5, 0.4], col=[0.5, 0.5])
+        # sums to 1, but its survivals would give a hazard of 1.1
+        with pytest.raises(DomainError, match="nonnegative"):
+            MarginalPair(row=[1.1, -0.1], col=[0.5, 0.5])
+        with pytest.raises(DomainError, match="finite"):
+            MarginalPair(row=[0.5, 0.5], col=[np.nan, 1.0])
 
 
 class TestHazards:
