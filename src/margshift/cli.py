@@ -17,9 +17,12 @@ single header row and/or a leading row-label column are detected by
 non-numeric tokens and skipped.  Exit codes: 0 success, 1 input or usage
 error, 2 statistical degeneracy (undefined or boundary measure).
 
-Reports are emitted as a single JSON document (``--json``, "-" for stdout)
-that validates against ``schemas/run_report.schema.json`` shipped with the
-package; every randomized command echoes its seed into the report.
+Output: a command prints its text to stdout, unless ``--json -`` puts its
+report there instead; ``--json PATH`` writes the report to a file.  The
+report is one JSON document that validates against the package's
+``schemas/run_report.schema.json`` and echoes the seed of a randomized
+command.  ``--out`` takes a file path, never "-".  A failed command prints
+nothing to stdout.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ ORIENTATION_NOTE = (
 
 class _UsageError(Exception):
     pass
+
+
+class _Refused(Exception):
+    """A delta-method interval refused at a boundary; ``args`` are its stderr lines."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,12 +181,14 @@ def parse_table_csv(path: str) -> CountTable:
         raise TableParseError(f"{path}: {exc}") from exc
 
 
+def _write_csv(path: str, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def write_table_csv(table: CountTable, path: str) -> None:
     """Write bare counts (no header, no labels); round-trips through the parser."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in table.counts:
-            writer.writerow([int(v) for v in row])
+    _write_csv(path, table.counts.tolist())
 
 
 def _sha256(path: str) -> str:
@@ -231,20 +240,13 @@ def _estimate_dict(rep: EstimateReport) -> dict:
     }
 
 
-def _write_json(report: dict, path: str) -> None:
-    text = json.dumps(report, indent=2) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its text lines and its report's inputs, seed and
+# results; main alone prints, writes the report and picks the exit code
 # ---------------------------------------------------------------------------
 
 
-def cmd_estimate(args, argv) -> int:
+def cmd_estimate(args) -> tuple:
     table = parse_table_csv(args.table)
     measure, lam = args.measure
     if args.ci == "delta":
@@ -253,36 +255,30 @@ def cmd_estimate(args, argv) -> int:
             rep = wald_ci(table, args.level, measure, lam)
         except NonDifferentiableError as exc:
             value = _plugin_estimate(table, measure, lam)
-            print(f"{measure} = {value:.6f}", file=sys.stderr)
-            print(f"delta-method confidence interval refused: {exc}", file=sys.stderr)
-            return 2
+            raise _Refused(
+                f"{measure} = {value:.6f}", f"delta-method confidence interval refused: {exc}"
+            ) from exc
     else:
         seed = args.seed
         rep = bootstrap_ci(table, args.level, args.replicates, args.seed, measure, lam)
 
-    if args.json != "-":  # keep stdout pure JSON when the report goes there
-        print(f"table: {args.table}  (r={table.r}, n={table.n})")
-        name = measure if lam is None else f"psi(lambda={lam:g})"
-        print(f"measure: {name}")
-        print(f"estimate: {rep.ci.estimate:.6f}")
-        print(
-            f"{100 * rep.ci.level:g}% CI ({rep.ci.method}): "
-            f"[{rep.ci.lower:.6f}, {rep.ci.upper:.6f}]   se: {rep.ci.se:.6f}"
-        )
-        if rep.ci.exceeds_range:
-            print("warning: interval endpoints leave the measure's logical range")
-        for flag in rep.degenerate_flags:
-            print(f"note: {flag}")
-        if measure == "phi":  # psi is blind to the direction of the shift
-            print(f"note: {ORIENTATION_NOTE}")
-
-    if args.json:
-        report = _make_report("estimate", argv, [args.table], seed, _estimate_dict(rep))
-        _write_json(report, args.json)
-    return 0
+    name = measure if lam is None else f"psi(lambda={lam:g})"
+    lines = [
+        f"table: {args.table}  (r={table.r}, n={table.n})",
+        f"measure: {name}",
+        f"estimate: {rep.ci.estimate:.6f}",
+        f"{100 * rep.ci.level:g}% CI ({rep.ci.method}): "
+        f"[{rep.ci.lower:.6f}, {rep.ci.upper:.6f}]   se: {rep.ci.se:.6f}",
+    ]
+    if rep.ci.exceeds_range:
+        lines.append("warning: interval endpoints leave the measure's logical range")
+    lines += [f"note: {flag}" for flag in rep.degenerate_flags]
+    if measure == "phi":  # psi is blind to the direction of the shift
+        lines.append(f"note: {ORIENTATION_NOTE}")
+    return lines, [args.table], seed, _estimate_dict(rep)
 
 
-def cmd_compare(args, argv) -> int:
+def cmd_compare(args) -> tuple:
     table_a = parse_table_csv(args.table_a)
     table_b = parse_table_csv(args.table_b)
     rep_a = wald_ci(table_a, args.level, "phi")
@@ -290,66 +286,50 @@ def cmd_compare(args, argv) -> int:
     comparison = compare_groups(rep_a, rep_b, args.level)
     diff = comparison.difference
 
-    if args.json != "-":
-        for label, path, rep in (("A", args.table_a, rep_a), ("B", args.table_b, rep_b)):
-            print(
-                f"group {label}: {path}  phi = {rep.ci.estimate:.6f}  "
-                f"{100 * rep.ci.level:g}% CI [{rep.ci.lower:.6f}, {rep.ci.upper:.6f}]"
-            )
-        print(
-            f"difference (A - B): {diff.estimate:.6f}  "
-            f"{100 * diff.level:g}% CI [{diff.lower:.6f}, {diff.upper:.6f}]   se: {diff.se:.6f}"
-        )
-        alpha = 1.0 - args.level
-        if comparison.zero_width:
-            print("warning: both standard errors are zero; the interval is degenerate")
-        if comparison.significant:
-            print(f"significant at level {alpha:g} (interval excludes 0)")
-        else:
-            print(f"not significant at level {alpha:g} (interval contains 0)")
-        print("assumption: the two tables come from independent samples")
-        print(f"note: {ORIENTATION_NOTE}")
+    lines = [
+        f"group {label}: {path}  phi = {rep.ci.estimate:.6f}  "
+        f"{100 * rep.ci.level:g}% CI [{rep.ci.lower:.6f}, {rep.ci.upper:.6f}]"
+        for label, path, rep in (("A", args.table_a, rep_a), ("B", args.table_b, rep_b))
+    ]
+    lines.append(
+        f"difference (A - B): {diff.estimate:.6f}  "
+        f"{100 * diff.level:g}% CI [{diff.lower:.6f}, {diff.upper:.6f}]   se: {diff.se:.6f}"
+    )
+    alpha = 1.0 - args.level
+    if comparison.zero_width:
+        lines.append("warning: both standard errors are zero; the interval is degenerate")
+    if comparison.significant:
+        lines.append(f"significant at level {alpha:g} (interval excludes 0)")
+    else:
+        lines.append(f"not significant at level {alpha:g} (interval contains 0)")
+    lines += [
+        "assumption: the two tables come from independent samples",
+        f"note: {ORIENTATION_NOTE}",
+    ]
 
-    if args.json:
-        results = {
-            "level": args.level,
-            "assumes_independent_samples": True,
-            "group_a": {"path": args.table_a, **_estimate_dict(rep_a)},
-            "group_b": {"path": args.table_b, **_estimate_dict(rep_b)},
-            "difference": {
-                "estimate": diff.estimate,
-                "se": diff.se,
-                "ci": _ci_dict(diff),
-            },
-            "significant": comparison.significant,
-            "zero_width": comparison.zero_width,
-        }
-        report = _make_report("compare", argv, [args.table_a, args.table_b], None, results)
-        _write_json(report, args.json)
-    return 0
+    results = {
+        "level": args.level,
+        "assumes_independent_samples": True,
+        "group_a": {"path": args.table_a, **_estimate_dict(rep_a)},
+        "group_b": {"path": args.table_b, **_estimate_dict(rep_b)},
+        "difference": {"estimate": diff.estimate, "se": diff.se, "ci": _ci_dict(diff)},
+        "significant": comparison.significant,
+        "zero_width": comparison.zero_width,
+    }
+    return lines, [args.table_a, args.table_b], None, results
 
 
-def cmd_curve(args, argv) -> int:
+def cmd_curve(args) -> tuple:
     points = curve_grid(args.delta_min, args.delta_max, args.step)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta", "phi"])
-        for d, value in points:
-            writer.writerow([str(d), str(value)])
-    if args.json != "-":
-        print(f"wrote {len(points)} points to {args.out}")
-
-    if args.json:
-        results = {
-            "delta_min": args.delta_min,
-            "delta_max": args.delta_max,
-            "step": args.step,
-            "points": len(points),
-            "out_path": args.out,
-        }
-        report = _make_report("curve", argv, [], None, results)
-        _write_json(report, args.json)
-    return 0
+    _write_csv(args.out, [["delta", "phi"]] + [[str(d), str(value)] for d, value in points])
+    results = {
+        "delta_min": args.delta_min,
+        "delta_max": args.delta_max,
+        "step": args.step,
+        "points": len(points),
+        "out_path": args.out,
+    }
+    return [f"wrote {len(points)} points to {args.out}"], [], None, results
 
 
 _SIMULATE_KEYS = ("delta", "base_hazard", "n", "replicates", "level", "seed")
@@ -371,7 +351,7 @@ def _parse_config(path: str) -> dict:
     return values
 
 
-def cmd_simulate(args, argv) -> int:
+def cmd_simulate(args) -> tuple:
     # every study of the grid is specified, and so checked, before the first runs
     specs = [
         CoverageStudySpec(
@@ -382,36 +362,26 @@ def cmd_simulate(args, argv) -> int:
     ]
     studies = [coverage_study(spec) for spec in specs]
 
-    if args.json != "-":
-        for res in studies:
-            print(
-                f"delta={res.delta:g} n={res.n} B={res.replicates}: "
-                f"coverage={res.coverage:.4f} (mcse {res.mcse:.4f}), "
-                f"true phi={res.true_value:.6f}, mean width={res.mean_width:.4f}, "
-                f"degenerate={res.degenerate_count}"
-            )
-
+    lines = [
+        f"delta={res.delta:g} n={res.n} B={res.replicates}: "
+        f"coverage={res.coverage:.4f} (mcse {res.mcse:.4f}), "
+        f"true phi={res.true_value:.6f}, mean width={res.mean_width:.4f}, "
+        f"degenerate={res.degenerate_count}"
+        for res in studies
+    ]
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            header = list(studies[0].as_dict().keys())
-            writer.writerow(header)
-            for res in studies:
-                writer.writerow([str(v) for v in res.as_dict().values()])
-        if args.json != "-":
-            print(f"wrote {len(studies)} rows to {args.out}")
+        rows = [[str(v) for v in res.as_dict().values()] for res in studies]
+        _write_csv(args.out, [list(studies[0].as_dict())] + rows)
+        lines.append(f"wrote {len(studies)} rows to {args.out}")
 
-    if args.json:
-        results = {
-            "joint": "independence",
-            "base_hazard_x": args.base_hazard,
-            "studies": [res.as_dict() for res in studies],
-            "csv_path": args.out,
-        }
-        inputs = [args.config] if args.config else []
-        report = _make_report("simulate", argv, inputs, args.seed, results)
-        _write_json(report, args.json)
-    return 0
+    results = {
+        "joint": "independence",
+        "base_hazard_x": args.base_hazard,
+        "studies": [res.as_dict() for res in studies],
+        "csv_path": args.out,
+    }
+    inputs = [args.config] if args.config else []
+    return lines, inputs, args.seed, results
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +402,10 @@ def _measure(text: str) -> tuple[str, float | None]:
     raise argparse.ArgumentTypeError(f"expected phi or psi:<lambda>, got {text!r}")
 
 
-def _output_path(text: str) -> str:
-    """``--out``/``--json`` type: "-" or a writable file path, refused before any work."""
+def _file_path(text: str) -> str:
+    """``--out`` type: a writable file path, refused before any work."""
     if text == "-":
-        return text
+        raise argparse.ArgumentTypeError("takes a file path, not '-' (stdout)")
     parent = Path(text).parent
     if not parent.is_dir():
         raise argparse.ArgumentTypeError(f"no such directory: {parent}")
@@ -444,6 +414,11 @@ def _output_path(text: str) -> str:
     if not text or Path(text).is_dir():
         raise argparse.ArgumentTypeError(f"not a file path: {text!r}")
     return text
+
+
+def _output_path(text: str) -> str:
+    """``--json`` type: "-" for stdout, or a file path as for ``--out``."""
+    return text if text == "-" else _file_path(text)
 
 
 def _comma_list(convert):
@@ -477,23 +452,19 @@ def _build_parser(config: dict | None = None) -> _Parser:
     est.add_argument("--ci", choices=["delta", "bootstrap"], default="delta")
     est.add_argument("--replicates", type=int, default=2000)
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--json", type=_output_path, default=None,
-                     help="write the JSON report here ('-' = stdout)")
     est.set_defaults(func=cmd_estimate)
 
     cmp_ = sub.add_parser("compare", help="compare phi between two independent tables")
     cmp_.add_argument("table_a")
     cmp_.add_argument("table_b")
     cmp_.add_argument("--level", type=float, default=0.95)
-    cmp_.add_argument("--json", type=_output_path, default=None)
     cmp_.set_defaults(func=cmd_compare)
 
     crv = sub.add_parser("curve", help="tabulate phi as a function of the hazard shift")
     crv.add_argument("--delta-min", type=float, required=True)
     crv.add_argument("--delta-max", type=float, required=True)
     crv.add_argument("--step", type=float, required=True)
-    crv.add_argument("--out", type=_output_path, required=True, help="CSV output path")
-    crv.add_argument("--json", type=_output_path, default=None)
+    crv.add_argument("--out", type=_file_path, required=True, help="CSV output path")
     crv.set_defaults(func=cmd_curve)
 
     sim = sub.add_parser("simulate", help="Monte Carlo coverage study of the phi interval")
@@ -506,9 +477,11 @@ def _build_parser(config: dict | None = None) -> _Parser:
     sim.add_argument("--replicates", type=int, default=2000)
     sim.add_argument("--level", type=float, default=0.95)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--json", type=_output_path, default=None)
-    sim.add_argument("--out", type=_output_path, default=None, help="CSV with one row per study")
+    sim.add_argument("--out", type=_file_path, default=None, help="CSV with one row per study")
     sim.set_defaults(func=cmd_simulate, **(config or {}))
+    for command in sub.choices.values():
+        command.add_argument("--json", type=_output_path, default=None,
+                             help="write the JSON report here ('-' = stdout)")
     return parser
 
 
@@ -518,7 +491,18 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if getattr(args, "config", None):
             args = _build_parser(_parse_config(args.config)).parse_args(argv)
-        return args.func(args, argv)
+        lines, inputs, seed, results = args.func(args)
+        if args.json:
+            report = json.dumps(_make_report(args.command, argv, inputs, seed, results), indent=2)
+            if args.json == "-":  # the report replaces the text: stdout stays pure JSON
+                lines = [report]
+            else:
+                Path(args.json).write_text(report + "\n", encoding="utf-8")
+        print(*lines, sep="\n")
+        return 0
+    except _Refused as exc:
+        print(*exc.args, sep="\n", file=sys.stderr)
+        return 2
     except (DegenerateMassError, NonDifferentiableError, TooManyDegenerateReplicatesError) as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         return 2

@@ -55,7 +55,7 @@ from .measures import (
     _terms,
     _value,
 )
-from .tables import CountTable, _check_probs, _integer, _real, from_counts
+from .tables import CountTable, _check_probs, _integer, _real, _record, from_counts
 
 __all__ = [
     "ConfInterval",
@@ -140,7 +140,7 @@ def _check_level(level: float) -> float:
 
 
 def _check_measure(measure: str, lam: float | None) -> tuple[str, float | None]:
-    if measure not in ("phi", "psi"):
+    if not isinstance(measure, str) or measure not in ("phi", "psi"):
         raise DomainError(f"measure must be 'phi' or 'psi', got {measure!r}")
     if measure == "phi":
         if lam is not None:
@@ -618,6 +618,7 @@ def compare_groups(
     MethodMismatchError
         If either report is bootstrap-based, or the measures differ.
     """
+    a, b = _record(a, EstimateReport, "a"), _record(b, EstimateReport, "b")
     level = _check_level(level)
     for name, rep in (("first", a), ("second", b)):
         if rep.ci.method != "delta":

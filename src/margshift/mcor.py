@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .tables import ProbTable, _freeze_fields, _real
+from .tables import ProbTable, _freeze_fields, _real, _record
 
 __all__ = [
     "McorScenario",
@@ -133,6 +133,7 @@ def scenario_table(scenario: McorScenario) -> ProbTable:
     choice.  Interval widths in sampling experiments DO depend on the
     coupling, so simulation reports record it.
     """
+    scenario = _record(scenario, McorScenario, "scenario")
     p_x = _marginal_from_hazards(scenario.omega_x)
     p_y = _marginal_from_hazards(scenario.omega_y)
     return ProbTable(np.outer(p_x, p_y))

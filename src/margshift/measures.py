@@ -49,6 +49,7 @@ from .tables import (
     _freeze_fields,
     _hazard,
     _real,
+    _record,
     _table_mass,
     _tail_sums,
 )
@@ -246,6 +247,7 @@ def _scalar(value: np.ndarray, measure: str) -> float:
 
 def discordance(haz: HazardPair) -> DiscordanceTerms:
     """Discordance terms W1_i = omega_i^X (1-omega_i^Y), W2_i = omega_i^Y (1-omega_i^X)."""
+    haz = _record(haz, HazardPair, "haz")
     w1, w2 = _w(haz.omega_x, haz.omega_y)
     return DiscordanceTerms(w1=w1, w2=w2)
 
@@ -260,6 +262,7 @@ def phi(d: DiscordanceTerms) -> float:
     DegenerateMassError
         If every W1_i + W2_i = 0, where the measure is undefined.
     """
+    d = _record(d, DiscordanceTerms, "d")
     return _scalar(_value(d.w1, d.w2, "phi", None), "phi")
 
 
@@ -280,6 +283,7 @@ def psi(d: DiscordanceTerms, lam: float) -> float:
     DegenerateMassError
         If every W1_i + W2_i = 0.
     """
+    d = _record(d, DiscordanceTerms, "d")
     return _scalar(_value(d.w1, d.w2, "psi", _check_lambda(lam)), "psi")
 
 
@@ -291,6 +295,7 @@ def angle_decomposition(d: DiscordanceTerms) -> AngleDecomposition:
     DegenerateMassError
         If every W1_i + W2_i = 0.
     """
+    d = _record(d, DiscordanceTerms, "d")
     total = d.total_mass
     if total == 0.0:
         raise DegenerateMassError("all discordance terms vanish")

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMassError, DomainError
+from .errors import DegenerateMassError
 from .inference import _MAX_REPLICATES, _check_level, _delta, _refused, _resample, z_quantile
 from .mcor import McorScenario, phi_of_delta, scenario_table
-from .tables import _MAX_COUNT, CountTable, ProbTable, _integer
+from .tables import _MAX_COUNT, CountTable, ProbTable, _integer, _record
 
 __all__ = [
     "sample_table",
@@ -64,8 +64,7 @@ class CoverageStudySpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scenario, McorScenario):
-            raise DomainError("scenario must be an McorScenario")
+        _record(self.scenario, McorScenario, "scenario")
         object.__setattr__(
             self, "replicates", _integer(self.replicates, "replicates", 100, _MAX_REPLICATES)
         )
@@ -123,8 +122,7 @@ def coverage_study(spec: CoverageStudySpec) -> CoverageResult:
     replicate's state, derived from ``SeedSequence(seed)`` a block at a
     time, so the stream is the same as one spawned generator per replicate.
     """
-    if not isinstance(spec, CoverageStudySpec):
-        raise DomainError("spec must be a CoverageStudySpec")
+    spec = _record(spec, CoverageStudySpec, "spec")
     truth = scenario_table(spec.scenario)
     true_value = phi_of_delta(spec.scenario.delta)
 

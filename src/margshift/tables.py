@@ -98,6 +98,13 @@ def _integer(value, name: str, lo: int, hi: int | None = None) -> int:
     return int(n)
 
 
+def _record(value, cls: type, name: str):
+    """``value`` itself if it is a ``cls``; anything else is a DomainError naming ``name``."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _square(arr: np.ndarray, what: str) -> np.ndarray:
     """``arr`` itself if it is an r x r matrix with r >= 2, else a ShapeError."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
@@ -330,11 +337,13 @@ def from_counts(table: CountTable) -> ProbTable:
     -------
     ProbTable
     """
+    table = _record(table, CountTable, "table")
     return ProbTable(table.counts / table.n)
 
 
 def marginals(prob: ProbTable) -> MarginalPair:
     """Row/column marginals with cumulative and survival sequences."""
+    prob = _record(prob, ProbTable, "prob")
     return MarginalPair(row=prob.p.sum(axis=-1), col=prob.p.sum(axis=-2))
 
 
@@ -346,6 +355,7 @@ def hazards(marg: MarginalPair) -> HazardPair:
     margins are nonnegative and each survival is their tail sum
     s_i = fl(s_{i+1} + p_i) >= p_i.
     """
+    marg = _record(marg, MarginalPair, "marg")
     omega_x, exhausted_x = _hazard(marg.row, marg.row_surv)
     omega_y, exhausted_y = _hazard(marg.col, marg.col_surv)
     return HazardPair(

@@ -1,5 +1,5 @@
 """The public surface, the one field rule every record type follows, and the
-one rule for every scalar parameter."""
+one rule for every scalar, measure and record-typed parameter."""
 
 import math
 import re
@@ -14,24 +14,33 @@ from margshift import (
     CoverageStudySpec,
     DiscordanceTerms,
     DomainError,
+    EstimateReport,
     HazardPair,
     MarginalPair,
     MargshiftError,
     McorScenario,
+    ProbTable,
     ShapeError,
+    angle_decomposition,
     bootstrap_ci,
     compare_groups,
+    coverage_study,
     curve_grid,
     delta_of_phi,
+    discordance,
     errors,
     from_counts,
     grad_fd,
+    hazards,
     inference,
+    marginals,
     mcor,
     measures,
+    phi,
     phi_of_delta,
     psi,
     sample_table,
+    scenario_table,
     simulate,
     tables,
     wald_ci,
@@ -258,5 +267,59 @@ def test_a_bad_scalar_parameter_is_a_domain_error_naming_it(case):
     call(np.float64(valid) if kind is float else np.int64(valid))
     for value in bad_values(valid, kind):
         message = f"^{name} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(DomainError, match=message):
+            call(value)
+
+
+# The three calls that take a measure name; call(m) passes m as the measure.
+MEASURE_CALLS = {
+    "wald_ci": lambda m: wald_ci(TABLE, measure=m),
+    "bootstrap_ci": lambda m: bootstrap_ci(TABLE, replicates=200, measure=m),
+    "grad_fd": lambda m: grad_fd(P, measure=m),
+}
+
+
+@pytest.mark.parametrize("call", MEASURE_CALLS.values(), ids=MEASURE_CALLS.keys())
+def test_a_measure_other_than_phi_or_psi_is_a_domain_error(call):
+    call("phi")
+    # an array once leaked numpy's "truth value of an array is ambiguous"
+    for value in [None, 1, ["phi"], np.array(["phi", "psi"]), "PHI"]:
+        message = f"^measure must be 'phi' or 'psi', got {re.escape(repr(value))}$"
+        with pytest.raises(DomainError, match=message):
+            call(value)
+
+
+# The record-typed parameters: (id, name in the message, type, call, a valid
+# value).  call(value) passes value to that parameter alone.
+PROB = from_counts(TABLE)
+TERMS = discordance(hazards(marginals(PROB)))
+SPEC = CoverageStudySpec(scenario=SCENARIO, n=200, replicates=100)
+
+RECORD_PARAMETERS = [
+    ("from_counts.table", "table", CountTable, from_counts, TABLE),
+    ("marginals.prob", "prob", ProbTable, marginals, PROB),
+    ("hazards.marg", "marg", MarginalPair, hazards, marginals(PROB)),
+    ("discordance.haz", "haz", HazardPair, discordance, hazards(marginals(PROB))),
+    ("phi.d", "d", DiscordanceTerms, phi, TERMS),
+    ("psi.d", "d", DiscordanceTerms, lambda v: psi(v, 1.0), TERMS),
+    ("angle_decomposition.d", "d", DiscordanceTerms, angle_decomposition, TERMS),
+    ("scenario_table.scenario", "scenario", McorScenario, scenario_table, SCENARIO),
+    ("compare_groups.a", "a", EstimateReport, lambda v: compare_groups(v, DELTA_REPORT),
+     DELTA_REPORT),
+    ("compare_groups.b", "b", EstimateReport, lambda v: compare_groups(DELTA_REPORT, v),
+     DELTA_REPORT),
+    ("coverage_study.spec", "spec", CoverageStudySpec, coverage_study, SPEC),
+    ("CoverageStudySpec.scenario", "scenario", McorScenario,
+     lambda v: CoverageStudySpec(scenario=v, n=10, replicates=100), SCENARIO),
+]
+
+
+@pytest.mark.parametrize("case", RECORD_PARAMETERS, ids=lambda c: c[0])
+def test_a_record_parameter_of_another_type_is_a_domain_error_naming_it(case):
+    _, name, cls, call, valid = case
+    call(valid)
+    other_record = PROB if cls is CountTable else TABLE
+    for value in [None, [[1, 2], [3, 4]], other_record]:
+        message = f"^{name} must be of type {cls.__name__}, got {type(value).__name__}$"
         with pytest.raises(DomainError, match=message):
             call(value)

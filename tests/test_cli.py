@@ -386,6 +386,22 @@ def no_study(spec):
     raise AssertionError("a study ran before the command was refused")
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "--delta-min", "-1", "--delta-max", "1", "--step", "0.5"],
+    ["simulate", "--n", "100", "--replicates", "100"],
+], ids=["curve", "simulate"])
+def test_csv_output_to_dash_is_refused_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    # "-" means stdout for --json only; --out writes a CSV file, never stdout
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "coverage_study", no_study)
+    monkeypatch.setattr(cli, "curve_grid", lambda *args: no_study(args))
+    assert main(argv + ["--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument --out: takes a file path, not '-' (stdout)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulate:
     @pytest.mark.parametrize("flag", ["--out", "--json"])
     def test_output_in_a_missing_directory_is_refused_before_any_study(
@@ -527,20 +543,21 @@ def test_module_docstring_lists_every_flag_of_every_subcommand():
     assert documented == _parser_flags()
 
 
+# One run of each command, with "{active}", "{placebo}" and "{tmp}" to fill in
+COMMANDS = {
+    "phi": ["estimate", "{active}"],
+    "psi": ["estimate", "{active}", "--measure", "psi:1"],
+    "bootstrap": ["estimate", "{active}", "--ci", "bootstrap", "--replicates", "500",
+                  "--seed", "7"],
+    "compare": ["compare", "{active}", "{placebo}"],
+    "simulate": ["simulate", "--delta=-1,1", "--n", "200", "--replicates", "200", "--seed", "3"],
+    "curve": ["curve", "--delta-min", "-1", "--delta-max", "1", "--step", "0.25",
+              "--out", "{tmp}/curve.csv"],
+}
+
+
 class TestEntryPoint:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["estimate", "{active}"],
-            ["estimate", "{active}", "--measure", "psi:1"],
-            ["estimate", "{active}", "--ci", "bootstrap", "--replicates", "500", "--seed", "7"],
-            ["compare", "{active}", "{placebo}"],
-            ["simulate", "--delta=-1,1", "--n", "200", "--replicates", "200", "--seed", "3"],
-            ["curve", "--delta-min", "-1", "--delta-max", "1", "--step", "0.25",
-             "--out", "{tmp}/curve.csv"],
-        ],
-        ids=["phi", "psi", "bootstrap", "compare", "simulate", "curve"],
-    )
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
     def test_process_entry_prints_what_main_prints(
         self, argv, active_csv, placebo_csv, tmp_path, capsys
     ):
@@ -550,6 +567,18 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert main(argv) == 0
         assert proc.stdout == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_json_to_stdout_is_one_report_and_nothing_else(
+        self, argv, active_csv, placebo_csv, tmp_path, capsys, schema
+    ):
+        argv = [a.format(active=active_csv, placebo=placebo_csv, tmp=tmp_path) for a in argv]
+        assert main(argv + ["--json", "-"]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)  # one document: any other text fails to parse
+        validate(report, schema)
+        assert report["command"] == argv[0]
+        assert captured.err == ""
 
     def test_exit_codes_pass_through_the_process_entry(self, tmp_path):
         boundary = write_counts(tmp_path / "left.csv", [[0, 0, 0], [0, 0, 0], [40, 60, 0]])
