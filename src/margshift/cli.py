@@ -21,8 +21,9 @@ Output: a command prints its text to stdout, unless ``--json -`` puts its
 report there instead; ``--json PATH`` writes the report to a file.  The
 report is one JSON document that validates against the package's
 ``schemas/run_report.schema.json`` and echoes the seed of a randomized
-command.  ``--out`` takes a file path, never "-".  A failed command prints
-nothing to stdout.
+command.  ``--out`` takes a file path, never "-", and no output path may
+name an input or the other output.  A failed command prints nothing to
+stdout.
 """
 
 from __future__ import annotations
@@ -132,6 +133,9 @@ def parse_table_csv(path: str) -> CountTable:
     if not body:
         raise TableParseError(f"{path}: no data rows below the header")
     width = len(body[0][1]) - start
+    if width == 0:  # a label alone: the file is not a table, whatever follows
+        line, row = body[0]
+        raise TableParseError(f"{path}:{line}: row {row[0]!r} holds no counts after its label")
 
     data = []
     for line, row in body:
@@ -421,6 +425,30 @@ def _output_path(text: str) -> str:
     return text if text == "-" else _file_path(text)
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one does not exist (yet): compare where they would be
+        return Path(a).resolve() == Path(b).resolve()
+
+
+def _check_outputs(args) -> None:
+    """Refuse an output path that is the same file as an input or as the other
+    output, before anything is read or written."""
+    inputs = [("table", "table"), ("table_a", "table_a"), ("table_b", "table_b"),
+              ("config", "--config")]
+    outputs = [("out", "--out"), ("json", "--json")]
+    seen = [(name, getattr(args, dest)) for dest, name in inputs if getattr(args, dest, None)]
+    for dest, name in outputs:
+        path = getattr(args, dest, None)
+        if path in (None, "-"):
+            continue
+        for other_name, other in seen:
+            if _same_file(path, other):
+                raise _UsageError(f"{name} {path} is the same file as {other_name} {other}")
+        seen.append((name, path))
+
+
 def _comma_list(convert):
     """A ``type=`` that reads "a,b,..." as a nonempty list of ``convert`` values."""
 
@@ -489,6 +517,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(argv)
+        _check_outputs(args)
         if getattr(args, "config", None):
             args = _build_parser(_parse_config(args.config)).parse_args(argv)
         lines, inputs, seed, results = args.func(args)

@@ -444,6 +444,27 @@ def _delta(counts: np.ndarray, measure: str, lam: float | None):
     return estimate, se, grad, terms
 
 
+def _wald_bounds(estimate, se, level: float):
+    """The delta-method bounds estimate -+ z se, z = Phi^-1(1 - (1 - level) / 2),
+    of scalars or arrays alike: the one place z and the bounds are formed."""
+    z = z_quantile(1.0 - (1.0 - level) / 2.0)
+    return estimate - z * se, estimate + z * se
+
+
+def _wald_interval(estimate, se, level: float, lo_edge, hi_edge) -> ConfInterval:
+    """The :func:`_wald_bounds` interval, flagged when it leaves [lo_edge, hi_edge]."""
+    lower, upper = _wald_bounds(estimate, se, level)
+    return ConfInterval(
+        estimate=estimate,
+        se=se,
+        lower=lower,
+        upper=upper,
+        level=level,
+        method="delta",
+        exceeds_range=lower < lo_edge or upper > hi_edge,
+    )
+
+
 def wald_ci(
     table: CountTable,
     level: float = 0.95,
@@ -481,24 +502,10 @@ def wald_ci(
     estimate, se, grad, terms = _delta(table.counts, measure, lam)
     estimate = _scalar(estimate, measure)
     _refuse(terms, measure)
-    se = float(se)
-    z = z_quantile(1.0 - (1.0 - level) / 2.0)
-    lower = estimate - z * se
-    upper = estimate + z * se
-    lo_edge, hi_edge = _RANGE[measure]
-    ci = ConfInterval(
-        estimate=estimate,
-        se=se,
-        lower=lower,
-        upper=upper,
-        level=level,
-        method="delta",
-        exceeds_range=lower < lo_edge or upper > hi_edge,
-    )
     return EstimateReport(
         measure=measure,
         lam=lam,
-        ci=ci,
+        ci=_wald_interval(estimate, float(se), level, *_RANGE[measure]),
         n=table.n,
         gradient_norm=float(np.linalg.norm(grad)),
         degenerate_flags=(),
@@ -630,23 +637,11 @@ def compare_groups(
         raise MethodMismatchError("the two reports estimate different measures")
 
     lo_edge, hi_edge = _RANGE[a.measure]  # a difference lies within +-(hi_edge - lo_edge)
-    diff = a.ci.estimate - b.ci.estimate
-    se = math.hypot(a.ci.se, b.ci.se)
-    z = z_quantile(1.0 - (1.0 - level) / 2.0)
-    lower = diff - z * se
-    upper = diff + z * se
-    ci = ConfInterval(
-        estimate=diff,
-        se=se,
-        lower=lower,
-        upper=upper,
-        level=level,
-        method="delta",
-        exceeds_range=max(-lower, upper) > hi_edge - lo_edge,
-    )
+    diff, se = a.ci.estimate - b.ci.estimate, math.hypot(a.ci.se, b.ci.se)
+    ci = _wald_interval(diff, se, level, lo_edge - hi_edge, hi_edge - lo_edge)
     return GroupComparison(
         difference=ci,
-        significant=not (lower <= 0.0 <= upper),
+        significant=not (ci.lower <= 0.0 <= ci.upper),
         zero_width=se == 0.0,
     )
 

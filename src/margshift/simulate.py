@@ -1,13 +1,14 @@
 """Multinomial sampling and Monte Carlo coverage studies.
 
 A coverage study draws tables from a shift-model population
-(:func:`margshift.mcor.scenario_table`), computes a delta-method interval
-per table, and reports the fraction of intervals containing the true phi.
-Replicates are independent units of work: replicate k draws from the
-generator ``default_rng`` builds from the k-th child spawned by
-``SeedSequence(seed)``, and the aggregation (hit counts, width totals) is
-order-insensitive, so results are reproducible for a fixed seed regardless
-of evaluation order.
+(:func:`margshift.mcor.scenario_table`), computes each table's interval by
+:mod:`margshift.inference`'s one delta-method rule, the same one
+:func:`~margshift.inference.wald_ci` uses, and reports the fraction of
+intervals containing the true phi.  Replicates are independent units of
+work: replicate k draws from the generator ``default_rng`` builds from the
+k-th child spawned by ``SeedSequence(seed)``, and the aggregation (hit
+counts, width totals) is order-insensitive, so results are reproducible for
+a fixed seed regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMassError
-from .inference import _MAX_REPLICATES, _check_level, _delta, _refused, _resample, z_quantile
+from .inference import _MAX_REPLICATES, _check_level, _delta, _refused, _resample, _wald_bounds
 from .mcor import McorScenario, phi_of_delta, scenario_table
 from .tables import _MAX_COUNT, CountTable, ProbTable, _integer, _record
 
@@ -126,15 +127,13 @@ def coverage_study(spec: CoverageStudySpec) -> CoverageResult:
     truth = scenario_table(spec.scenario)
     true_value = phi_of_delta(spec.scenario.delta)
 
-    z = z_quantile(1.0 - (1.0 - spec.level) / 2.0)
     hits = 0
     degenerate = 0
     widths = []
     for counts in _resample(truth.p, spec.n, spec.replicates, spec.seed):
         estimate, se, _, terms = _delta(counts, "phi", None)
         ok = ~_refused(terms, "phi")  # includes every NaN estimate
-        lower = estimate[ok] - z * se[ok]
-        upper = estimate[ok] + z * se[ok]
+        lower, upper = _wald_bounds(estimate[ok], se[ok], spec.level)
         degenerate += int(np.count_nonzero(~ok))
         hits += int(np.count_nonzero((lower <= true_value) & (true_value <= upper)))
         widths.append(upper - lower)

@@ -177,6 +177,30 @@ class TestTableIO:
         assert main(["estimate", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}:{cell}\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("", ": no data rows"),
+        ("\n \n", ": no data rows"),
+        ("a,b\n", ": no data rows below the header"),
+        ("1,2\n3\n", ":2: expected 2 numeric cells, found 1"),
+    ])
+    def test_file_without_a_table_is_named(self, tmp_path, capsys, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["estimate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}{message}\n"
+
+    def test_report_file_is_refused_at_its_first_row(self, active_csv, tmp_path, capsys):
+        # the report's "{" line would be a row label with no cells after it
+        report = tmp_path / "report.json"
+        assert main(["estimate", active_csv, "--json", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {report}:1: row '{{' holds no counts after its label\n"
+
 
 class TestEstimate:
     def test_reproduces_published_values(self, active_csv, tmp_path, capsys, schema):
@@ -294,6 +318,17 @@ class TestEstimate:
         assert_clean_error(proc)
         assert "lambda" in proc.stderr
 
+    def test_interval_beyond_the_range_is_flagged(self, tmp_path, capsys):
+        path = write_counts(tmp_path / "t.csv", [[4, 4], [0, 2]])
+        assert main(["estimate", path]) == 0
+        shown = capsys.readouterr().out
+        assert "95% CI (delta): [0.469801, 1.109651]" in shown
+        assert "warning: interval endpoints leave the measure's logical range" in shown
+        assert main(["estimate", path, "--json", "-"]) == 0
+        ci = json.loads(capsys.readouterr().out)["results"]["ci"]
+        assert ci["upper"] == pytest.approx(1.1097, abs=1e-4)
+        assert ci["exceeds_range"] is True
+
     def test_json_to_stdout_is_pure(self, active_csv, capsys, schema):
         assert main(["estimate", active_csv, "--json", "-"]) == 0
         report = json.loads(capsys.readouterr().out)  # no human prefix
@@ -318,6 +353,17 @@ class TestCompare:
     def test_table_against_itself(self, active_csv, capsys):
         assert main(["compare", active_csv, active_csv]) == 0
         assert "difference (A - B): 0.000000" in capsys.readouterr().out
+
+    def test_zero_width_is_warned(self, tmp_path, capsys):
+        # a diagonal table has phi = 0 and se = 0
+        a = write_counts(tmp_path / "a.csv", [[4, 0], [0, 3]])
+        b = write_counts(tmp_path / "b.csv", [[5, 0], [0, 2]])
+        assert main(["compare", a, b]) == 0
+        shown = capsys.readouterr().out
+        assert "difference (A - B): 0.000000  95% CI [0.000000, 0.000000]" in shown
+        assert "warning: both standard errors are zero; the interval is degenerate" in shown
+        assert main(["compare", a, b, "--json", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["zero_width"] is True
 
     def test_table_against_transpose(self, active_csv, tmp_path, capsys):
         transposed = write_counts(
@@ -400,6 +446,39 @@ def test_csv_output_to_dash_is_refused_before_any_work(argv, tmp_path, capsys, m
     assert captured.out == ""
     assert captured.err == "error: argument --out: takes a file path, not '-' (stdout)\n"
     assert list(tmp_path.iterdir()) == []
+
+
+CURVE = ["curve", "--delta-min", "-1", "--delta-max", "1", "--step", "0.5"]
+
+
+@pytest.mark.parametrize("argv, clash", [
+    (["estimate", "t.csv", "--json", "./t.csv"], "--json ./t.csv is the same file as table t.csv"),
+    (["compare", "t.csv", "u.csv", "--json", "u.csv"],
+     "--json u.csv is the same file as table_b u.csv"),
+    (CURVE + ["--out", "t.csv", "--json", "t.csv"],
+     "--json t.csv is the same file as --out t.csv"),
+    (CURVE + ["--out", "new.csv", "--json", "./new.csv"],
+     "--json ./new.csv is the same file as --out new.csv"),
+    (["simulate", "--config", "c.cfg", "--json", "c.cfg"],
+     "--json c.cfg is the same file as --config c.cfg"),
+    (["simulate", "--config", "c.cfg", "--out", "./c.cfg"],
+     "--out ./c.cfg is the same file as --config c.cfg"),
+], ids=["estimate", "compare", "curve", "curve-new", "simulate-json", "simulate-out"])
+def test_output_that_names_an_input_or_the_other_output_is_refused(
+    argv, clash, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "coverage_study", no_study)
+    monkeypatch.setattr(cli, "curve_grid", lambda *args: no_study(args))
+    write_counts(tmp_path / "t.csv", ACTIVE_COUNTS)
+    write_counts(tmp_path / "u.csv", PLACEBO_COUNTS)
+    (tmp_path / "c.cfg").write_text("n = 100\nreplicates = 100\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {clash}\n"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 class TestSimulate:
@@ -507,6 +586,12 @@ class TestSimulate:
         cfg = tmp_path / "study.cfg"
         cfg.write_text("level = x\nn = 100\nreplicates = 100\n")
         assert main(["simulate", "--config", str(cfg), "--level", "0.9"]) == 0
+
+    def test_config_line_without_a_value_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# settings\nn 100\n")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'n 100'\n"
 
     def test_non_utf8_config_exits_one_without_traceback(self, tmp_path):
         cfg = tmp_path / "utf16.cfg"

@@ -274,6 +274,9 @@ class TestWaldCI:
         assert rep_t.ci.estimate == pytest.approx(rep.ci.estimate, abs=1e-12)
         assert rep_t.ci.se == pytest.approx(rep.ci.se, rel=1e-12)
 
+    def test_array_like_table_is_wrapped(self, active_table):
+        assert wald_ci(ACTIVE_COUNTS) == wald_ci(active_table)
+
     def test_bad_arguments(self, active_table):
         with pytest.raises(DomainError):
             wald_ci(active_table, 1.0)
@@ -328,6 +331,18 @@ class TestBootstrapCI:
         assert boot_rep.ci.se == pytest.approx(delta_rep.ci.se, rel=0.15)
         assert boot_rep.ci.method == "bootstrap-percentile"
         assert boot_rep.gradient_norm is None
+
+    def test_array_like_table_is_wrapped(self, active_table):
+        assert bootstrap_ci(ACTIVE_COUNTS, replicates=300, seed=2) == bootstrap_ci(
+            active_table, replicates=300, seed=2
+        )
+
+    def test_integral_float_counts_as_an_integer(self, active_table):
+        assert bootstrap_ci(active_table, replicates=2000.0, seed=1.0) == bootstrap_ci(
+            active_table, replicates=2000, seed=1
+        )
+        with pytest.raises(DomainError, match=r"replicates must be an integer .*2000\.5"):
+            bootstrap_ci(active_table, replicates=2000.5, seed=1)
 
     def test_replicate_floor(self, active_table):
         with pytest.raises(DomainError):
@@ -436,6 +451,16 @@ class TestCompareGroups:
         assert diff.upper == pytest.approx(a - b + 0.5544, abs=1e-3)
         assert diff.exceeds_range is exceeds
 
+    def test_range_flag_reads_each_bound(self):
+        # an infinite estimate and se leave the lower bound NaN (inf - inf);
+        # the upper one alone then decides the flag, as it does for wald_ci
+        ci = ConfInterval(estimate=math.inf, se=math.inf, lower=math.nan, upper=math.inf,
+                          level=0.95, method="delta")
+        rep = EstimateReport(measure="phi", lam=None, ci=ci, n=100, gradient_norm=1.0)
+        diff = compare_groups(rep, wald_ci(CountTable(ACTIVE_COUNTS))).difference
+        assert math.isnan(diff.lower) and diff.upper == math.inf
+        assert diff.exceeds_range
+
     def test_measure_mismatch_rejected(self, active_table, placebo_table):
         with pytest.raises(MethodMismatchError):
             compare_groups(
@@ -449,3 +474,12 @@ def test_inference_leaves_every_measure_formula_to_measures():
     source = Path(inference.__file__).read_text(encoding="utf-8")
     for name in ("arctan2", "expm1", "_psi_g", "_LN2", "_QUARTER_PI", "_LAMBDA_ZERO_THRESHOLD"):
         assert re.search(rf"\b{name}\b", source) is None, name
+
+
+def test_the_delta_method_interval_is_formed_in_one_place():
+    # wald_ci, compare_groups and coverage_study share inference's one rule
+    package = Path(inference.__file__).parent
+    sources = "".join(path.read_text(encoding="utf-8") for path in package.glob("*.py"))
+    assert sources.count("z_quantile(1.0 - (1.0 - level) / 2.0)") == 1
+    assert len(re.findall(r"\w+ [-+] z \* se\b", sources)) == 2
+    assert "z_quantile" not in (package / "simulate.py").read_text(encoding="utf-8")

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from margshift import (
+    AngleDecomposition,
     CountTable,
     DegenerateMassError,
     DiscordanceTerms,
@@ -247,6 +248,20 @@ class TestAngleDecomposition:
     def test_degenerate_mass_raises(self):
         with pytest.raises(DegenerateMassError):
             angle_decomposition(table_terms(ProbTable([[1.0, 0.0], [0.0, 0.0]])))
+
+    @pytest.mark.parametrize("theta, weight, message", [
+        ([0.5, -0.1], [0.5, 0.5], r"angles must lie in \[0, pi/2\]"),
+        ([0.5, 1.6], [0.5, 0.5], r"angles must lie in \[0, pi/2\]"),
+        ([0.5, 0.5], [0.5, 0.4], "weights must sum to 1"),
+    ])
+    def test_invalid_record_refused(self, theta, weight, message):
+        with pytest.raises(DomainError, match=message):
+            AngleDecomposition(theta=theta, weight=weight, defined=[True, True])
+
+    def test_undefined_index_is_not_checked(self):
+        # theta and weight mean nothing where the index is undefined
+        ad = AngleDecomposition(theta=[0.5, 9.0], weight=[1.0, 0.7], defined=[True, False])
+        assert ad.theta[1] == 9.0
 
 
 # ---------------------------------------------------------------------------

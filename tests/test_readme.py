@@ -1,9 +1,16 @@
-"""The README's library quickstart runs and prints the values its comments state."""
+"""The README's library quickstart and command-line examples run as documented."""
 
+import os
 import re
+import shlex
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import margshift
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,3 +48,30 @@ def test_quickstart_prints_the_values_its_comments_state():
         stated_count += len(stated)
     # -0.6546; -0.8063 -0.5029; 0.368; -0.201 False; ~0.95
     assert stated_count == 7
+
+
+def cli_examples() -> list[list[str]]:
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(cmd) for cmd in block.replace("\\\n", " ").splitlines()
+            if cmd.strip() and not cmd.startswith("#")]
+
+
+def test_cli_examples_run_and_write_the_files_they_name(tmp_path):
+    examples = cli_examples()
+    # a continuation line not joined to its command would not start with the program
+    assert examples and all(argv[0] == "margshift" for argv in examples)
+    shutil.copytree(README.parent / "data", tmp_path / "data")
+    # the commands run in a scratch directory, where a relative PYTHONPATH misses
+    paths = [str(Path(margshift.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    named = []
+    for argv in examples:
+        proc = subprocess.run([sys.executable, "-m", "margshift.cli", *argv[1:]], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        named += [path for flag, path in zip(argv, argv[1:])
+                  if flag in ("--json", "--out") and path != "-"]
+    assert named
+    for name in named:
+        assert (tmp_path / name).stat().st_size > 0, name

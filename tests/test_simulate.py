@@ -42,6 +42,10 @@ class TestSampleTable:
         sd = math.sqrt(n * 0.25 * 0.75)
         assert np.all(np.abs(t.counts - n / 4) <= 5 * sd)
 
+    def test_array_like_table_is_wrapped(self):
+        p = [[0.1, 0.2], [0.3, 0.4]]
+        assert sample_table(p, 50, seed=123) == sample_table(ProbTable(p), 50, seed=123)
+
     def test_sample_size_floor(self):
         with pytest.raises(DomainError):
             sample_table(ProbTable(np.full((2, 2), 0.25)), 0, seed=0)

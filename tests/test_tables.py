@@ -209,6 +209,27 @@ class TestHazards:
                 exhausted_y=[False, False],
             )
 
+    def test_nonzero_hazard_at_an_exhausted_index_is_refused(self):
+        with pytest.raises(DomainError, match="exhausted omega_y entries must be 0"):
+            HazardPair(
+                omega_x=[0.5, 0.5],
+                omega_y=[1.0, 0.3],  # index 2 is exhausted, so its hazard must be 0
+                exhausted_x=[False, False],
+                exhausted_y=[False, True],
+            )
+
+
+def test_record_sizes_and_table_equality():
+    assert MarginalPair(row=[0.25, 0.75], col=[0.5, 0.5]).r == 2
+    h = HazardPair(omega_x=[0.2, 0.5], omega_y=[0.3, 0.5],
+                   exhausted_x=[False, False], exhausted_y=[False, False])
+    assert h.size == 2
+    table = CountTable(ACTIVE_COUNTS)
+    # anything that is not a CountTable is unequal, even with the same counts
+    assert table.__eq__(ACTIVE_COUNTS) is NotImplemented
+    assert table != ACTIVE_COUNTS and table != "table"
+    assert table == CountTable(ACTIVE_COUNTS)
+
 
 @st.composite
 def prob_tables_with_positive_survivals(draw):
