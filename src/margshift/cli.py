@@ -13,9 +13,9 @@ Subcommands::
                        [--level 0.95] [--seed S] [--json PATH] [--out CSV]
 
 Input tables are CSV files with r rows of r nonnegative integer cells; a
-single header row and/or a leading row-label column are detected by
-non-numeric tokens and skipped.  Exit codes: 0 success, 1 input or usage
-error, 2 statistical degeneracy (undefined or boundary measure).
+header row and/or row labels in the first column are detected by tokens
+that are neither blank nor digits, and skipped.  Exit codes: 0 success, 1
+input or usage error, 2 statistical degeneracy (undefined or boundary measure).
 
 Output: a command prints its text to stdout, unless ``--json -`` puts its
 report there instead; ``--json PATH`` writes the report to a file.  The
@@ -95,6 +95,12 @@ def _is_int_token(tok: str) -> bool:
     return tok.isascii() and tok.isdigit()
 
 
+def _is_word(tok: str) -> bool:
+    """Whether a stripped cell can mark a header or a row label: neither blank
+    nor digits, so a missing count or a stray "²" is refused as a count."""
+    return tok != "" and not tok.lstrip("+-").isdigit()
+
+
 def _read_text(path: str, error: type[Exception]) -> str:
     """The UTF-8 text of a file, or ``error`` naming the file (and the bad byte)."""
     try:
@@ -122,13 +128,13 @@ def parse_table_csv(path: str) -> CountTable:
     numbered = [(line, row) for line, row in numbered if any(cell != "" for cell in row)]
     if not numbered:
         raise TableParseError(f"{path}: no data rows")
-    head_line, head = numbered[0]
+    head = numbered[0][1]
 
-    # a non-integer first token below row one can only be a row label;
-    # row one is then a header only if it is non-integer beyond that column
-    has_labels = any(not _is_int_token(row[0]) for _, row in numbered[1:])
+    # a word as the first token below row one can only be a row label;
+    # row one is then a header only if it holds a word beyond that column
+    has_labels = any(_is_word(row[0]) for _, row in numbered[1:])
     start = 1 if has_labels else 0
-    has_header = any(not _is_int_token(c) for c in head[start:])
+    has_header = any(_is_word(c) for c in head[start:])
     body = numbered[1:] if has_header else numbered
     if not body:
         raise TableParseError(f"{path}: no data rows below the header")
@@ -163,16 +169,6 @@ def parse_table_csv(path: str) -> CountTable:
         data.append(vals)
 
     if len(data) != width:
-        # a digit that int() refuses (say "²") passes for a label or header
-        # token above; name it rather than the block shape it caused
-        suspects = []
-        if has_header:
-            suspects += [(head_line, col, tok) for col, tok in enumerate(head[start:], start + 1)]
-        if has_labels:
-            suspects += [(line, 1, row[0]) for line, row in body]
-        for line, col, tok in suspects:
-            if tok.isdigit() and not _is_int_token(tok):
-                raise TableParseError(f"{path}:{line}: column {col}: not an integer: {tok!r}")
         raise TableParseError(
             f"{path}: numeric block is {len(data)} x {width} after detecting "
             f"header={'yes' if has_header else 'no'}, "

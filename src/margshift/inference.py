@@ -81,16 +81,14 @@ _DEGENERATE_REPLICATE_CAP = 0.01
 _CHUNK_CELLS = 1 << 16
 
 # Replicate k of a seeded loop draws from the generator
-# default_rng(SeedSequence(seed).spawn(...)[k]).  Its seed is derived with
-# numpy's SeedSequence hash (pool of four 32-bit words) and turned into a
-# PCG64 state by PCG64's seeding rule, _SEED_BLOCK replicates at a time.
+# default_rng(SeedSequence(seed).spawn(...)[k]).  Its four seed words are
+# derived with numpy's SeedSequence hash (pool of four 32-bit words),
+# _SEED_BLOCK replicates at a time, and PCG64 seeds itself from them.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _SEED_BLOCK = 1024
 # spawn keys from 2^32 on take two words, which _child_seeds does not hash
 _MAX_REPLICATES = 1 << 32
@@ -135,8 +133,13 @@ class GroupComparison:
     zero_width: bool
 
 
-def _check_level(level: float) -> float:
-    return _real(level, "confidence level", 0.0, 1.0)
+def _wald_level(level: float) -> float:
+    """A confidence level whose z is finite: 1 - (1 - level) / 2 must stay below 1."""
+    checked = _real(level, "confidence level", 0.0, 1.0)
+    if 1.0 - (1.0 - checked) / 2.0 == 1.0:
+        raise DomainError(f"confidence level must be at most {1.0 - 2.0**-52!r} "
+                          f"for a delta-method interval, got {level!r}")
+    return checked
 
 
 def _check_measure(measure: str, lam: float | None) -> tuple[str, float | None]:
@@ -386,50 +389,53 @@ def _child_seeds(seed: int, keys) -> np.ndarray:
     return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _replicate_states(seed: int, replicates: int):
-    """PCG64 states of the generators of replicates 0, 1, ..., in order.
-
-    ``default_rng(child)`` seeds PCG64 from ``child.generate_state(4, np.uint64)``
-    = (s_hi, s_lo, i_hi, i_lo) with inc = (i << 1) | 1 and
-    state = ((inc + s) * MULT + inc) mod 2^128.  The first and last state of
-    every block are checked against numpy's own construction.
-    """
+def _replicate_seeds(seed: int, replicates: int):
+    """Seed words of the generators of replicates 0, 1, ..., in order: the rows
+    of :func:`_child_seeds`, a block at a time, the first and last row of every
+    block checked against numpy's own SeedSequence."""
     for lo in range(0, replicates, _SEED_BLOCK):
         hi = min(lo + _SEED_BLOCK, replicates)
-        states = []
-        for s_hi, s_lo, i_hi, i_lo in _child_seeds(seed, np.arange(lo, hi)).tolist():
-            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-            states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                           "has_uint32": 0, "uinteger": 0})
-        for k, state in ((lo, states[0]), (hi - 1, states[-1])):
+        block = _child_seeds(seed, np.arange(lo, hi))
+        for k, words in ((lo, block[0]), (hi - 1, block[-1])):
             child = np.random.SeedSequence(seed, spawn_key=(k,))
-            if np.random.PCG64(child).state != state:
+            if not np.array_equal(child.generate_state(4, np.uint64), words):
                 raise RuntimeError(
-                    f"the generator state derived for replicate {k} of seed {seed} differs "
-                    "from numpy's SeedSequence/PCG64; this numpy changed its seeding"
+                    f"the seed derived for replicate {k} of seed {seed} differs "
+                    "from numpy's SeedSequence; this numpy changed its seeding"
                 )
-        yield from states
+        yield from block
+
+
+class _SeedWords:
+    """One replicate's seed words in the place of its SeedSequence: PCG64 asks
+    an ``ISeedSequence`` for them once, as ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def _resample(p: np.ndarray, n: int, replicates: int, seed: int):
     """Multinomial tables of size n over the cells p, as (b, r, r) count stacks.
 
     Replicate k draws from the generator that ``default_rng`` builds from the
-    k-th child spawned by ``SeedSequence(seed)``.  Instead of building those
-    objects, one PCG64 is set to each replicate's state in turn (see
-    :func:`_replicate_states`), so the stream is the same, draw for draw.
+    k-th child spawned by ``SeedSequence(seed)``: PCG64 is seeded from the
+    child's words (:func:`_replicate_seeds`), so the stream is the same, draw
+    for draw, without building the child.
     """
+    # numpy.random loads here, not with this module: delta-method runs never draw
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
     r = p.shape[-1]
     flat = p.ravel()
-    states = _replicate_states(seed, replicates)
-    bits = np.random.PCG64(seed)
-    gen = np.random.Generator(bits)
+    seeds = _replicate_seeds(seed, replicates)
     for lo, hi in _chunks(replicates, r):
         draws = np.empty((hi - lo, r * r), dtype=np.int64)
-        for row, state in zip(draws, states):  # draws first, so no state is skipped
-            bits.state = state
-            row[:] = gen.multinomial(n, flat)
+        for row, words in zip(draws, seeds):  # draws first, so no seed is skipped
+            row[:] = np.random.Generator(np.random.PCG64(_SeedWords(words))).multinomial(n, flat)
         yield draws.reshape(-1, r, r)
 
 
@@ -496,7 +502,7 @@ def wald_ci(
     """
     if not isinstance(table, CountTable):
         table = CountTable(table)
-    level = _check_level(level)
+    level = _wald_level(level)
     measure, lam = _check_measure(measure, lam)
 
     estimate, se, grad, terms = _delta(table.counts, measure, lam)
@@ -537,14 +543,14 @@ def bootstrap_ci(
     extraction) does not depend on evaluation order.  Replicates are drawn
     and evaluated in chunks of at most 2^16 cells and at most 1024 tables
     (see :func:`_chunks`), so the working memory is set by the chunk, not by
-    ``replicates``; the children's seeds are derived a block at a time and
-    one generator is set to each replicate's state in turn, so the stream,
+    ``replicates``; the children's seed words are derived a block at a time
+    and each replicate's generator is seeded from its words, so the stream,
     and with it every reported number, is the same as one spawned generator
     per replicate.
     """
     if not isinstance(table, CountTable):
         table = CountTable(table)
-    level = _check_level(level)
+    level = _real(level, "confidence level", 0.0, 1.0)
     measure, lam = _check_measure(measure, lam)
     replicates = _integer(replicates, "replicates", 200, _MAX_REPLICATES)
     seed = _integer(seed, "seed", 0)
@@ -626,7 +632,7 @@ def compare_groups(
         If either report is bootstrap-based, or the measures differ.
     """
     a, b = _record(a, EstimateReport, "a"), _record(b, EstimateReport, "b")
-    level = _check_level(level)
+    level = _wald_level(level)
     for name, rep in (("first", a), ("second", b)):
         if rep.ci.method != "delta":
             raise MethodMismatchError(

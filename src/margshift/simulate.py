@@ -6,9 +6,9 @@ A coverage study draws tables from a shift-model population
 :func:`~margshift.inference.wald_ci` uses, and reports the fraction of
 intervals containing the true phi.  Replicates are independent units of
 work: replicate k draws from the generator ``default_rng`` builds from the
-k-th child spawned by ``SeedSequence(seed)``, and the aggregation (hit
-counts, width totals) is order-insensitive, so results are reproducible for
-a fixed seed regardless of evaluation order.
+k-th child spawned by ``SeedSequence(seed)``, seeded from the child's words,
+and the aggregation (hit counts, width totals) is order-insensitive, so
+results are reproducible for a fixed seed regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMassError
-from .inference import _MAX_REPLICATES, _check_level, _delta, _refused, _resample, _wald_bounds
+from .inference import _MAX_REPLICATES, _delta, _refused, _resample, _wald_bounds, _wald_level
 from .mcor import McorScenario, phi_of_delta, scenario_table
 from .tables import _MAX_COUNT, CountTable, ProbTable, _integer, _record
 
@@ -70,7 +70,7 @@ class CoverageStudySpec:
             self, "replicates", _integer(self.replicates, "replicates", 100, _MAX_REPLICATES)
         )
         object.__setattr__(self, "n", _integer(self.n, "sample size", 10, _MAX_COUNT))
-        object.__setattr__(self, "level", _check_level(self.level))
+        object.__setattr__(self, "level", _wald_level(self.level))
         object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
 
@@ -119,9 +119,9 @@ def coverage_study(spec: CoverageStudySpec) -> CoverageResult:
     contains the truth.  Replicates are drawn and evaluated by the
     bootstrap's sampler (``inference._resample``) in chunks of at most 2^16
     cells and at most 1024 tables, so the working memory is set by the
-    chunk, not by the replicate count.  One generator is set to each
-    replicate's state, derived from ``SeedSequence(seed)`` a block at a
-    time, so the stream is the same as one spawned generator per replicate.
+    chunk, not by the replicate count.  Each replicate's generator is seeded
+    from its child's words, derived a block at a time, so the stream is the
+    same as one spawned generator per replicate.
     """
     spec = _record(spec, CoverageStudySpec, "spec")
     truth = scenario_table(spec.scenario)

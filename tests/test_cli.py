@@ -191,6 +191,23 @@ class TestTableIO:
         assert captured.out == ""
         assert captured.err == f"error: {path}{message}\n"
 
+    @pytest.mark.parametrize("name, text, cell", [
+        ("eat.csv", "1,2,\n3,4\n5,6\n", "1: column 3"),  # row one was taken for a header
+        ("lab.csv", "7,2,3\n,4,5\n", "2: column 1"),  # 7 was taken for a row label
+    ])
+    def test_blank_cell_is_a_missing_count(self, tmp_path, capsys, name, text, cell):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert main(["estimate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:{cell}: not an integer: ''\n"
+
+    def test_blank_top_left_corner_is_accepted(self, tmp_path):
+        path = tmp_path / "corner.csv"
+        path.write_text(",a,b\nx,1,2\ny,3,4\n", encoding="utf-8")
+        assert parse_table_csv(str(path)) == CountTable([[1, 2], [3, 4]])
+
     def test_report_file_is_refused_at_its_first_row(self, active_csv, tmp_path, capsys):
         # the report's "{" line would be a row label with no cells after it
         report = tmp_path / "report.json"
@@ -481,6 +498,26 @@ def test_output_that_names_an_input_or_the_other_output_is_refused(
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "{active}"],
+    ["compare", "{active}", "{placebo}"],
+    ["simulate", "--delta=0", "--n", "50", "--replicates", "100"],
+], ids=["estimate", "compare", "simulate"])
+def test_level_with_an_infinite_z_is_refused_by_name(
+    argv, active_csv, placebo_csv, capsys, monkeypatch
+):
+    # 1 - (1 - level) / 2 rounds to 1 at the largest level below 1
+    monkeypatch.setattr(cli, "coverage_study", no_study)
+    argv = [a.format(active=active_csv, placebo=placebo_csv) for a in argv]
+    assert main(argv + ["--level", "0.9999999999999999"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: confidence level must be at most 0.9999999999999998 for a "
+        "delta-method interval, got 0.9999999999999999\n"
+    )
+
+
 class TestSimulate:
     @pytest.mark.parametrize("flag", ["--out", "--json"])
     def test_output_in_a_missing_directory_is_refused_before_any_study(
@@ -696,6 +733,27 @@ class TestEntryPoint:
         before = gc.get_freeze_count()
         assert main(["estimate", active_csv, "--ci", "bootstrap", "--replicates", "200"]) == 0
         assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["estimate", "{active}"], "False"),
+        (["compare", "{active}", "{placebo}"], "False"),
+        (["estimate", "{active}", "--ci", "bootstrap", "--replicates", "200"], "True"),
+    ], ids=["estimate", "compare", "bootstrap"])
+    def test_only_replicate_loops_load_numpy_random(self, argv, loaded, active_csv, placebo_csv):
+        # loading numpy.random costs a one-shot process some 20 ms
+        code = (
+            "import sys, numpy\n"
+            "eager = 'numpy.random' in sys.modules\n"
+            "from margshift.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print(status, eager, 'numpy.random' in sys.modules, file=sys.stderr)\n"
+        )
+        argv = [a.format(active=active_csv, placebo=placebo_csv) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        status, eager, after = proc.stderr.split()
+        if eager == "True":
+            pytest.skip("this numpy loads numpy.random with numpy itself")
+        assert (status, after) == ("0", loaded)
 
     def test_module_invocation(self, active_csv):
         proc = subprocess.run(

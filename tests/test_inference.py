@@ -13,6 +13,7 @@ import pytest
 import margshift.inference as inference
 from margshift import (
     CountTable,
+    CoverageStudySpec,
     DegenerateMassError,
     DomainError,
     McorScenario,
@@ -474,6 +475,21 @@ def test_inference_leaves_every_measure_formula_to_measures():
     source = Path(inference.__file__).read_text(encoding="utf-8")
     for name in ("arctan2", "expm1", "_psi_g", "_LN2", "_QUARTER_PI", "_LAMBDA_ZERO_THRESHOLD"):
         assert re.search(rf"\b{name}\b", source) is None, name
+
+
+def test_a_level_with_an_infinite_z_is_refused_by_the_delta_method_only(active_table):
+    level = math.nextafter(1.0, 0.0)  # 1 - (1 - level) / 2 rounds to 1
+    refused = "confidence level must be at most 0.9999999999999998 .* got 0.9999999999999999"
+    with pytest.raises(DomainError, match=refused):
+        wald_ci(active_table, level)
+    report = wald_ci(active_table)
+    with pytest.raises(DomainError, match=refused):
+        compare_groups(report, report, level)
+    with pytest.raises(DomainError, match=refused):
+        CoverageStudySpec(scenario=McorScenario(np.array([0.4]), 0.0), n=50, replicates=100,
+                          level=level)
+    assert bootstrap_ci(active_table, level, replicates=200).ci.level == level
+    assert math.isfinite(wald_ci(active_table, math.nextafter(level, 0.0)).ci.upper)
 
 
 def test_the_delta_method_interval_is_formed_in_one_place():
