@@ -24,6 +24,10 @@ report is one JSON document that validates against the package's
 command.  ``--out`` takes a file path, never "-", and no output path may
 name an input or the other output.  A failed command prints nothing to
 stdout.
+
+Input: ``main`` alone reads the input files, each once and before any is
+parsed; the report's ``inputs[].sha256`` is the digest of the bytes that were
+parsed, so a table or ``--config`` file may come through ``/dev/stdin``.
 """
 
 from __future__ import annotations
@@ -87,7 +91,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _is_int_token(tok: str) -> bool:
-    tok = tok.strip()
     if tok and tok[0] in "+-":
         tok = tok[1:]
     # ASCII digits only: str.isdigit also accepts "²" (which int() refuses)
@@ -101,27 +104,33 @@ def _is_word(tok: str) -> bool:
     return tok != "" and not tok.lstrip("+-").isdigit()
 
 
-def _read_text(path: str, error: type[Exception]) -> str:
-    """The UTF-8 text of a file, or ``error`` naming the file (and the bad byte)."""
+def _read(path: str, error: type[Exception]) -> bytes:
+    """The bytes of a file, or ``error`` naming the file."""
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise error(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _decode(path: str, data: bytes, error: type[Exception]) -> str:
+    """The UTF-8 text of a file's bytes, or ``error`` naming the file and the bad byte."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})") from exc
 
 
-def parse_table_csv(path: str) -> CountTable:
+def parse_table_csv(path: str, data: bytes | None = None) -> CountTable:
     """Parse a CSV count table, auto-detecting header and label column.
 
-    Raises :class:`TableParseError` with file/line/column positions on any
+    ``data`` is the file's bytes, read from ``path`` when not given.  Raises
+    :class:`TableParseError` with file/line/column positions on any
     malformed content, and refuses non-square numeric blocks instead of
     guessing what was meant.
     """
+    data = _read(path, TableParseError) if data is None else data
     # drop the byte-order mark that spreadsheet tools write
-    text = _read_text(path, TableParseError).removeprefix("\ufeff")
+    text = _decode(path, data, TableParseError).removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text, newline=""))
     # each row keeps its own line number: blank rows are dropped below
     numbered = [(reader.line_num, [cell.strip() for cell in row]) for row in reader]
@@ -191,30 +200,23 @@ def write_table_csv(table: CountTable, path: str) -> None:
     _write_csv(path, table.counts.tolist())
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
 
 
-def _make_report(command, argv, inputs, seed, results) -> dict:
-    return {
+def _make_report(command, argv, inputs, seed, results) -> str:
+    """The JSON report; ``inputs`` holds the (path, bytes) of each input read."""
+    return json.dumps({
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "margshift", "version": __version__},
         "command": command,
         "argv": list(argv),
-        "inputs": [{"path": p, "sha256": _sha256(p)} for p in inputs],
+        "inputs": [{"path": p, "sha256": hashlib.sha256(raw).hexdigest()} for p, raw in inputs],
         "seed": seed,
         "orientation_note": ORIENTATION_NOTE,
         "results": results,
-    }
+    }, indent=2)
 
 
 def _ci_dict(ci) -> dict:
@@ -241,13 +243,24 @@ def _estimate_dict(rep: EstimateReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns its text lines and its report's inputs, seed and
-# results; main alone prints, writes the report and picks the exit code
+# commands: each parses the (path, bytes) of its inputs that main read, by
+# option, and returns its text lines and its report's seed and results; main
+# alone prints, writes the report and picks the exit code
 # ---------------------------------------------------------------------------
 
 
-def cmd_estimate(args) -> tuple:
-    table = parse_table_csv(args.table)
+def _ci_label(level: float) -> str:
+    """``"95% CI"``: six significant digits, more where six would round a
+    level below 1 up to 100."""
+    for digits in range(6, 18):
+        percent = f"{100 * level:.{digits}g}"
+        if percent != "100":
+            break
+    return f"{percent}% CI"
+
+
+def cmd_estimate(args, inputs) -> tuple:
+    table = parse_table_csv(*inputs["table"])
     measure, lam = args.measure
     if args.ci == "delta":
         seed = None
@@ -267,7 +280,7 @@ def cmd_estimate(args) -> tuple:
         f"table: {args.table}  (r={table.r}, n={table.n})",
         f"measure: {name}",
         f"estimate: {rep.ci.estimate:.6f}",
-        f"{100 * rep.ci.level:g}% CI ({rep.ci.method}): "
+        f"{_ci_label(rep.ci.level)} ({rep.ci.method}): "
         f"[{rep.ci.lower:.6f}, {rep.ci.upper:.6f}]   se: {rep.ci.se:.6f}",
     ]
     if rep.ci.exceeds_range:
@@ -275,12 +288,12 @@ def cmd_estimate(args) -> tuple:
     lines += [f"note: {flag}" for flag in rep.degenerate_flags]
     if measure == "phi":  # psi is blind to the direction of the shift
         lines.append(f"note: {ORIENTATION_NOTE}")
-    return lines, [args.table], seed, _estimate_dict(rep)
+    return lines, seed, _estimate_dict(rep)
 
 
-def cmd_compare(args) -> tuple:
-    table_a = parse_table_csv(args.table_a)
-    table_b = parse_table_csv(args.table_b)
+def cmd_compare(args, inputs) -> tuple:
+    table_a = parse_table_csv(*inputs["table_a"])
+    table_b = parse_table_csv(*inputs["table_b"])
     rep_a = wald_ci(table_a, args.level, "phi")
     rep_b = wald_ci(table_b, args.level, "phi")
     comparison = compare_groups(rep_a, rep_b, args.level)
@@ -288,12 +301,12 @@ def cmd_compare(args) -> tuple:
 
     lines = [
         f"group {label}: {path}  phi = {rep.ci.estimate:.6f}  "
-        f"{100 * rep.ci.level:g}% CI [{rep.ci.lower:.6f}, {rep.ci.upper:.6f}]"
+        f"{_ci_label(rep.ci.level)} [{rep.ci.lower:.6f}, {rep.ci.upper:.6f}]"
         for label, path, rep in (("A", args.table_a, rep_a), ("B", args.table_b, rep_b))
     ]
     lines.append(
         f"difference (A - B): {diff.estimate:.6f}  "
-        f"{100 * diff.level:g}% CI [{diff.lower:.6f}, {diff.upper:.6f}]   se: {diff.se:.6f}"
+        f"{_ci_label(diff.level)} [{diff.lower:.6f}, {diff.upper:.6f}]   se: {diff.se:.6f}"
     )
     alpha = 1.0 - args.level
     if comparison.zero_width:
@@ -316,10 +329,10 @@ def cmd_compare(args) -> tuple:
         "significant": comparison.significant,
         "zero_width": comparison.zero_width,
     }
-    return lines, [args.table_a, args.table_b], None, results
+    return lines, None, results
 
 
-def cmd_curve(args) -> tuple:
+def cmd_curve(args, inputs) -> tuple:
     points = curve_grid(args.delta_min, args.delta_max, args.step)
     _write_csv(args.out, [["delta", "phi"]] + [[str(d), str(value)] for d, value in points])
     results = {
@@ -329,15 +342,15 @@ def cmd_curve(args) -> tuple:
         "points": len(points),
         "out_path": args.out,
     }
-    return [f"wrote {len(points)} points to {args.out}"], [], None, results
+    return [f"wrote {len(points)} points to {args.out}"], None, results
 
 
 _SIMULATE_KEYS = ("delta", "base_hazard", "n", "replicates", "level", "seed")
 
 
-def _parse_config(path: str) -> dict:
+def _parse_config(path: str, data: bytes) -> dict:
     values = {}
-    for line_no, line in enumerate(_read_text(path, _UsageError).splitlines(), 1):
+    for line_no, line in enumerate(_decode(path, data, _UsageError).splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -351,7 +364,7 @@ def _parse_config(path: str) -> dict:
     return values
 
 
-def cmd_simulate(args) -> tuple:
+def cmd_simulate(args, inputs) -> tuple:
     # every study of the grid is specified, and so checked, before the first runs
     specs = [
         CoverageStudySpec(
@@ -380,8 +393,7 @@ def cmd_simulate(args) -> tuple:
         "studies": [res.as_dict() for res in studies],
         "csv_path": args.out,
     }
-    inputs = [args.config] if args.config else []
-    return lines, inputs, args.seed, results
+    return lines, args.seed, results
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +440,16 @@ def _same_file(a: str, b: str) -> bool:
         return Path(a).resolve() == Path(b).resolve()
 
 
-def _check_outputs(args) -> None:
-    """Refuse an output path that is the same file as an input or as the other
-    output, before anything is read or written."""
-    inputs = [("table", "table"), ("table_a", "table_a"), ("table_b", "table_b"),
-              ("config", "--config")]
-    outputs = [("out", "--out"), ("json", "--json")]
-    seen = [(name, getattr(args, dest)) for dest, name in inputs if getattr(args, dest, None)]
-    for dest, name in outputs:
+# the options that name an input file, in report order: dest -> name in messages
+_INPUTS = {"table": "table", "table_a": "table_a", "table_b": "table_b", "config": "--config"}
+
+
+def _check_outputs(args) -> list:
+    """The (dest, path) of each input the command names, in report order, once
+    no output path is the same file as an input or as the other output."""
+    inputs = [(dest, getattr(args, dest)) for dest in _INPUTS if getattr(args, dest, None)]
+    seen = [(_INPUTS[dest], path) for dest, path in inputs]
+    for dest, name in (("out", "--out"), ("json", "--json")):
         path = getattr(args, dest, None)
         if path in (None, "-"):
             continue
@@ -443,6 +457,7 @@ def _check_outputs(args) -> None:
             if _same_file(path, other):
                 raise _UsageError(f"{name} {path} is the same file as {other_name} {other}")
         seen.append((name, path))
+    return inputs
 
 
 def _comma_list(convert):
@@ -513,12 +528,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(argv)
-        _check_outputs(args)
-        if getattr(args, "config", None):
-            args = _build_parser(_parse_config(args.config)).parse_args(argv)
-        lines, inputs, seed, results = args.func(args)
+        # each input is read once, before any is parsed; the report hashes these bytes
+        inputs = {dest: (path, _read(path, _UsageError)) for dest, path in _check_outputs(args)}
+        if "config" in inputs:
+            args = _build_parser(_parse_config(*inputs["config"])).parse_args(argv)
+        lines, seed, results = args.func(args, inputs)
         if args.json:
-            report = json.dumps(_make_report(args.command, argv, inputs, seed, results), indent=2)
+            report = _make_report(args.command, argv, inputs.values(), seed, results)
             if args.json == "-":  # the report replaces the text: stdout stays pure JSON
                 lines = [report]
             else:

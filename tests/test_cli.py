@@ -3,10 +3,13 @@
 import argparse
 import csv
 import gc
+import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -518,6 +521,121 @@ def test_level_with_an_infinite_z_is_refused_by_name(
     )
 
 
+@pytest.mark.parametrize("level, label", [
+    ("0.9999999", "99.99999% CI"),
+    ("0.9999999999999998", "99.99999999999997% CI"),  # 100 * level, to 16 digits
+])
+@pytest.mark.parametrize("argv, lines", [
+    (["estimate", "{active}"], 1),
+    (["estimate", "{active}", "--ci", "bootstrap", "--replicates", "200"], 1),
+    (["compare", "{active}", "{placebo}"], 3),
+], ids=["estimate", "bootstrap", "compare"])
+def test_a_level_below_one_is_never_labelled_100(
+    argv, lines, level, label, active_csv, placebo_csv, capsys
+):
+    argv = [a.format(active=active_csv, placebo=placebo_csv) for a in argv]
+    assert main(argv + ["--level", level]) == 0
+    out = capsys.readouterr().out
+    assert "100%" not in out
+    assert out.count(f"{label} ") == lines
+
+
+# ---------------------------------------------------------------------------
+# inputs: main reads each once, and the report hashes the bytes it parsed
+# ---------------------------------------------------------------------------
+
+_opens = []  # holds one Counter of opened paths while a test records
+
+
+def _count_open(event, args):
+    if event == "open" and _opens and isinstance(args[0], (str, os.PathLike)):
+        _opens[0][os.fspath(args[0])] += 1
+
+
+@pytest.fixture
+def opens():
+    """Every file path opened during the test, counted: open(), pathlib and
+    os.open all raise the "open" audit event.  An audit hook cannot be
+    removed, so one is added once and counts only inside this fixture."""
+    if not getattr(_count_open, "added", False):
+        sys.addaudithook(_count_open)
+        _count_open.added = True
+    _opens.append(Counter())
+    yield _opens[0]
+    _opens.clear()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "{active}"],
+    ["estimate", "{active}", "--ci", "bootstrap", "--replicates", "200"],
+    ["compare", "{active}", "{placebo}"],
+    ["simulate", "--config", "{config}"],
+], ids=["estimate", "bootstrap", "compare", "simulate"])
+def test_each_input_is_opened_once(argv, active_csv, placebo_csv, tmp_path, capsys, opens):
+    config = tmp_path / "study.cfg"
+    config.write_text("n = 100\nreplicates = 200\n")
+    argv = [a.format(active=active_csv, placebo=placebo_csv, config=config) for a in argv]
+    paths = [a for a in argv if a in (active_csv, placebo_csv, str(config))]
+    opens.clear()
+    assert main(argv + ["--json", "-"]) == 0
+    assert {path: opens[path] for path in paths} == dict.fromkeys(paths, 1)
+    report = json.loads(capsys.readouterr().out)
+    assert report["inputs"] == [
+        {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+        for path in paths
+    ]
+
+
+needs_dev_stdin = pytest.mark.skipif(
+    not Path("/dev/stdin").exists(), reason="no /dev/stdin on this platform"
+)
+
+
+def piped_report(data: bytes, *argv) -> dict:
+    """The report of a command that reads ``data`` through a pipe, whose one
+    input must be recorded with the digest of those bytes."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "margshift.cli", *argv, "--json", "-"],
+        input=data, capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["inputs"] == [{"path": "/dev/stdin", "sha256": hashlib.sha256(data).hexdigest()}]
+    return report
+
+
+@needs_dev_stdin
+def test_a_piped_table_is_hashed_as_parsed():
+    data = "".join(",".join(map(str, row)) + "\n" for row in ACTIVE_COUNTS).encode()
+    report = piped_report(data, "estimate", "/dev/stdin")
+    assert report["results"]["n"] == int(np.sum(ACTIVE_COUNTS))
+
+
+@needs_dev_stdin
+def test_a_piped_config_is_hashed_as_parsed():
+    report = piped_report(b"n = 100\nreplicates = 200\nseed = 5\n", "simulate", "--config",
+                          "/dev/stdin")
+    assert report["seed"] == 5
+    assert [study["n"] for study in report["results"]["studies"]] == [100]
+
+
+def test_a_table_named_twice_is_listed_twice(active_csv, capsys):
+    assert main(["compare", active_csv, active_csv, "--json", "-"]) == 0
+    digest = hashlib.sha256(Path(active_csv).read_bytes()).hexdigest()
+    report = json.loads(capsys.readouterr().out)
+    assert report["inputs"] == [{"path": active_csv, "sha256": digest}] * 2
+
+
+def test_a_missing_input_is_reported_before_any_input_is_parsed(tmp_path, capsys):
+    malformed = tmp_path / "odd.csv"
+    malformed.write_text("1,2,3\n4,5,6\n")
+    missing = tmp_path / "missing.csv"
+    assert main(["compare", str(malformed), str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {missing}: No such file or directory\n"
+
+
 class TestSimulate:
     @pytest.mark.parametrize("flag", ["--out", "--json"])
     def test_output_in_a_missing_directory_is_refused_before_any_study(
@@ -754,6 +872,34 @@ class TestEntryPoint:
         if eager == "True":
             pytest.skip("this numpy loads numpy.random with numpy itself")
         assert (status, after) == ("0", loaded)
+
+    def test_commands_load_only_the_stdlib_numpy_and_margshift(self, active_csv, placebo_csv):
+        # the README promises plain numpy and no other runtime dependency
+        code = (
+            "import contextlib, io, json, sys\n"
+            "bare = {name.partition('.')[0] for name in sys.modules}\n"
+            "from margshift.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "new = {name.partition('.')[0] for name in sys.modules} - bare\n"
+            "print(json.dumps([status, {name: hasattr(sys.modules[name], '__file__')\n"
+            "                           for name in new - set(sys.stdlib_module_names)}]))\n"
+        )
+        commands = [
+            ["estimate", active_csv],
+            ["estimate", active_csv, "--ci", "bootstrap", "--replicates", "200"],
+            ["compare", active_csv, placebo_csv],
+            ["simulate", "--n", "100", "--replicates", "200"],
+        ]
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        status, outside = json.loads(proc.stdout)
+        assert status == [0] * len(commands)
+        # numpy's Cython extensions register file-less runtime modules
+        cython = {name for name, has_file in outside.items()
+                  if not has_file and (name == "cython_runtime" or name.startswith("_cython_"))}
+        assert set(outside) - cython <= {"numpy", "margshift"}
 
     def test_module_invocation(self, active_csv):
         proc = subprocess.run(
