@@ -22,8 +22,8 @@ report there instead; ``--json PATH`` writes the report to a file.  The
 report is one JSON document that validates against the package's
 ``schemas/run_report.schema.json`` and echoes the seed of a randomized
 command.  ``--out`` takes a file path, never "-", and no output path may
-name an input or the other output.  A failed command prints nothing to
-stdout.
+name an input, the other output or the file stdout goes to.  A failed
+command prints nothing to stdout.
 
 Input: ``main`` alone reads the input files, each once and before any is
 parsed; the report's ``inputs[].sha256`` is the digest of the bytes that were
@@ -440,19 +440,31 @@ def _same_file(a: str, b: str) -> bool:
         return Path(a).resolve() == Path(b).resolve()
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether ``path`` is the file behind fd 1, which the text output goes to;
+    never when fd 1 is closed or is the null device."""
+    try:
+        out, null = os.fstat(1), os.stat(os.devnull)
+        return os.path.samestat(os.stat(path), out) and not os.path.samestat(out, null)
+    except OSError:  # fd 1 is closed, or the path does not exist (yet)
+        return False
+
+
 # the options that name an input file, in report order: dest -> name in messages
 _INPUTS = {"table": "table", "table_a": "table_a", "table_b": "table_b", "config": "--config"}
 
 
 def _check_outputs(args) -> list:
     """The (dest, path) of each input the command names, in report order, once
-    no output path is the same file as an input or as the other output."""
+    no output path is the same file as an input, the other output or stdout."""
     inputs = [(dest, getattr(args, dest)) for dest in _INPUTS if getattr(args, dest, None)]
     seen = [(_INPUTS[dest], path) for dest, path in inputs]
     for dest, name in (("out", "--out"), ("json", "--json")):
         path = getattr(args, dest, None)
         if path in (None, "-"):
             continue
+        if _is_stdout(path):
+            raise _UsageError(f"{name} {path} is the same file as stdout")
         for other_name, other in seen:
             if _same_file(path, other):
                 raise _UsageError(f"{name} {path} is the same file as {other_name} {other}")

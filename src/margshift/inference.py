@@ -75,21 +75,18 @@ _DEGENERATE_REPLICATE_CAP = 0.01
 
 # Replicate loops draw and evaluate their tables in chunks of at most this
 # many cells and at most _SEED_BLOCK tables (but at least one table), which
-# bounds their working memory.  A chunk costs some sixty numpy calls whatever
-# its size; at 2^16 cells an r = 60 chunk holds 18 tables, so that cost is
-# small next to the chunk's draws.
+# bounds their working memory, the chunk's seed words included.  A chunk costs
+# some sixty numpy calls and one seed derivation whatever its size; at 2^16
+# cells an r = 60 chunk holds 18 tables, so that cost is small next to the
+# chunk's draws.
 _CHUNK_CELLS = 1 << 16
+_SEED_BLOCK = 1024
 
-# Replicate k of a seeded loop draws from the generator
-# default_rng(SeedSequence(seed).spawn(...)[k]).  Its four seed words are
-# derived with numpy's SeedSequence hash (pool of four 32-bit words),
-# _SEED_BLOCK replicates at a time, and PCG64 seeds itself from them.
-_POOL_SIZE = 4
+# numpy's SeedSequence hash constants (see _child_seeds)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = (1 << 32) - 1
-_SEED_BLOCK = 1024
 # spawn keys from 2^32 on take two words, which _child_seeds does not hash
 _MAX_REPLICATES = 1 << 32
 
@@ -338,72 +335,39 @@ def _chunks(count: int, r: int):
         yield start, min(start + size, count)
 
 
+def _hashmix(words: np.ndarray, init: int, mult: int, call: int) -> np.ndarray:
+    """numpy's SeedSequence hashmix of each row of ``words`` (uint32), the first
+    row as the hash's call number ``call``: row i meets the hash constants
+    init mult^(call + i) and init mult^(call + i + 1), mod 2^32."""
+    consts = [init * pow(mult, call + i, 1 << 32) & _MASK32 for i in range(len(words) + 1)]
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    value = (words ^ consts[:-1]) * consts[1:]  # uint32 arrays wrap without a warning
+    return value ^ (value >> 16)
+
+
 def _child_seeds(seed: int, keys) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)`` for
     every key k, as one (len(keys), 4) uint64 array.
 
-    numpy's hash on columns of 32-bit words: the seed's little-endian words,
-    zero-padded to the pool size, then the key's one word.
+    numpy mixes the seed's own words into ``SeedSequence(seed).pool``; a
+    child goes on from there, on columns of 32-bit words here: its key's one
+    word is hashed into every pool word, then the eight state words out of
+    the pool.  The pool took size^2 hash calls, and size more for each seed
+    word beyond the pool size, so the key's hash starts at that call.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     if int(keys.max()) > _MASK32:
         raise DomainError("spawn keys must lie below 2^32")
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.full(1, w, dtype=np.uint32) for w in words] + [keys.astype(np.uint32)]
-
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * hash_const
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ (result >> 16)
-
-    pool = [hashmix(e) for e in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for e in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(e))
-
-    hash_const = _INIT_B
-    state = []
-    for i in range(8):  # four uint64 words from eight uint32 ones
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * hash_const
-        state.append(value ^ (value >> 16))
-    return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _replicate_seeds(seed: int, replicates: int):
-    """Seed words of the generators of replicates 0, 1, ..., in order: the rows
-    of :func:`_child_seeds`, a block at a time, the first and last row of every
-    block checked against numpy's own SeedSequence."""
-    for lo in range(0, replicates, _SEED_BLOCK):
-        hi = min(lo + _SEED_BLOCK, replicates)
-        block = _child_seeds(seed, np.arange(lo, hi))
-        for k, words in ((lo, block[0]), (hi - 1, block[-1])):
-            child = np.random.SeedSequence(seed, spawn_key=(k,))
-            if not np.array_equal(child.generate_state(4, np.uint64), words):
-                raise RuntimeError(
-                    f"the seed derived for replicate {k} of seed {seed} differs "
-                    "from numpy's SeedSequence; this numpy changed its seeding"
-                )
-        yield from block
+    parent = np.random.SeedSequence(seed)
+    size = parent.pool_size
+    words = max(1, -(-seed.bit_length() // 32))
+    calls = size * size + size * max(0, words - size)
+    key = np.broadcast_to(keys.astype(np.uint32), (size, len(keys)))
+    hashed = _hashmix(key, _INIT_A, _MULT_A, calls)
+    pool = parent.pool[:, None] * _MIX_MULT_L - hashed * _MIX_MULT_R
+    pool ^= pool >> 16
+    state = _hashmix(pool[np.arange(8) % size], _INIT_B, _MULT_B, 0)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
 class _SeedWords:
@@ -418,12 +382,15 @@ class _SeedWords:
 
 
 def _resample(p: np.ndarray, n: int, replicates: int, seed: int):
-    """Multinomial tables of size n over the cells p, as (b, r, r) count stacks.
+    """Multinomial tables of size n over the cells p, as (b, r, r) count stacks,
+    one per :func:`_chunks` span.
 
     Replicate k draws from the generator that ``default_rng`` builds from the
-    k-th child spawned by ``SeedSequence(seed)``: PCG64 is seeded from the
-    child's words (:func:`_replicate_seeds`), so the stream is the same, draw
-    for draw, without building the child.
+    k-th child spawned by ``SeedSequence(seed)``.  Each chunk derives its
+    children's seed words in one :func:`_child_seeds` call, from numpy's own
+    pool of the seed, checks its first and last row against numpy's
+    SeedSequence, and seeds PCG64 from the words, so the stream is the same,
+    draw for draw, without building a child.
     """
     # numpy.random loads here, not with this module: delta-method runs never draw
     from numpy.random.bit_generator import ISeedSequence
@@ -431,10 +398,17 @@ def _resample(p: np.ndarray, n: int, replicates: int, seed: int):
     ISeedSequence.register(_SeedWords)
     r = p.shape[-1]
     flat = p.ravel()
-    seeds = _replicate_seeds(seed, replicates)
     for lo, hi in _chunks(replicates, r):
+        seeds = _child_seeds(seed, np.arange(lo, hi))
+        for k, words in ((lo, seeds[0]), (hi - 1, seeds[-1])):
+            child = np.random.SeedSequence(seed, spawn_key=(k,))
+            if not np.array_equal(child.generate_state(4, np.uint64), words):
+                raise RuntimeError(
+                    f"the seed derived for replicate {k} of seed {seed} differs "
+                    "from numpy's SeedSequence; this numpy changed its seeding"
+                )
         draws = np.empty((hi - lo, r * r), dtype=np.int64)
-        for row, words in zip(draws, seeds):  # draws first, so no seed is skipped
+        for row, words in zip(draws, seeds):
             row[:] = np.random.Generator(np.random.PCG64(_SeedWords(words))).multinomial(n, flat)
         yield draws.reshape(-1, r, r)
 
@@ -539,14 +513,11 @@ def bootstrap_ci(
 
     Deterministic for a fixed seed: replicate k draws from the generator
     ``default_rng`` builds from the k-th child spawned by
-    ``SeedSequence(seed)``, and aggregation (counts plus sorted percentile
-    extraction) does not depend on evaluation order.  Replicates are drawn
-    and evaluated in chunks of at most 2^16 cells and at most 1024 tables
-    (see :func:`_chunks`), so the working memory is set by the chunk, not by
-    ``replicates``; the children's seed words are derived a block at a time
-    and each replicate's generator is seeded from its words, so the stream,
-    and with it every reported number, is the same as one spawned generator
-    per replicate.
+    ``SeedSequence(seed)`` (the stream of :func:`_resample`), and aggregation
+    (counts plus sorted percentile extraction) does not depend on evaluation
+    order.  Replicates are drawn and evaluated in chunks of at most 2^16
+    cells and at most 1024 tables (see :func:`_chunks`), so the working
+    memory is set by the chunk, not by ``replicates``.
     """
     if not isinstance(table, CountTable):
         table = CountTable(table)

@@ -117,11 +117,10 @@ def coverage_study(spec: CoverageStudySpec) -> CoverageResult:
     The truth is the scenario's closed-form phi; each replicate samples a
     table from the scenario population and asks whether its interval
     contains the truth.  Replicates are drawn and evaluated by the
-    bootstrap's sampler (``inference._resample``) in chunks of at most 2^16
-    cells and at most 1024 tables, so the working memory is set by the
-    chunk, not by the replicate count.  Each replicate's generator is seeded
-    from its child's words, derived a block at a time, so the stream is the
-    same as one spawned generator per replicate.
+    bootstrap's sampler (``inference._resample``, which states the stream:
+    one spawned generator per replicate) in chunks of at most 2^16 cells and
+    at most 1024 tables, so the working memory is set by the chunk, not by
+    the replicate count.
     """
     spec = _record(spec, CoverageStudySpec, "spec")
     truth = scenario_table(spec.scenario)

@@ -500,7 +500,7 @@ def test_bootstrap_memory_is_bounded_by_the_chunk():
 def test_bootstrap_seed_memory_is_bounded_by_the_block():
     # one block of seed words at a time peaks at about 0.86 MB; all 20 000 rows
     # derived at once peak at about 2.6 MB with the chunks unchanged, and at about
-    # 3.4 MB with a 20 000-row block; test_seeds_are_derived_one_block_at_a_time
+    # 3.4 MB with a 20 000-row block; test_seeds_are_derived_once_per_chunk
     # pins the blocks by count
     peak = traced_peak_mb(bootstrap_ci, CountTable(ACTIVE_COUNTS), replicates=20_000, seed=0)
     assert peak < 2.0
@@ -510,7 +510,8 @@ def test_bootstrap_seed_memory_is_bounded_by_the_block():
 # replicate streams
 # ---------------------------------------------------------------------------
 
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 1, 2**200]
+# 1 to 7 seed words; 2^64 to 2^128 cross the pool size of 4 words
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**128, 2**128 + 1, 2**200]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -537,7 +538,9 @@ def test_resample_matches_the_spawn_loop(r, replicates, seed):
     np.testing.assert_array_equal(draws.reshape(replicates, r * r), spawn_loop(p, n, replicates, seed))
 
 
-@pytest.mark.parametrize("constant", ["_MIX_MULT_L"])
+@pytest.mark.parametrize(
+    "constant", ["_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B", "_MIX_MULT_L", "_MIX_MULT_R"]
+)
 def test_a_seed_derivation_that_drifts_from_numpy_is_refused(monkeypatch, constant):
     monkeypatch.setattr(inference, constant, getattr(inference, constant) ^ 2)
     with pytest.raises(RuntimeError, match="differs from numpy"):
@@ -571,7 +574,7 @@ def test_replicate_counts_beyond_one_word_spawn_keys_are_refused():
 
 
 @pytest.mark.parametrize("r, replicates", [(4, 5000), (60, 1100)])
-def test_seeds_are_derived_one_block_at_a_time(monkeypatch, r, replicates):
+def test_seeds_are_derived_once_per_chunk(monkeypatch, r, replicates):
     calls = []
     derive = inference._child_seeds
 
@@ -582,8 +585,5 @@ def test_seeds_are_derived_one_block_at_a_time(monkeypatch, r, replicates):
     monkeypatch.setattr(inference, "_child_seeds", spy)
     counts = np.random.default_rng(r).integers(1, 6, size=(r, r))
     bootstrap_ci(CountTable(counts), replicates=replicates, seed=3)
-    block = inference._SEED_BLOCK
-    assert block >= 1024  # a derivation per 4-table chunk made r = 60 bootstraps slower
-    sizes = [len(keys) for keys in calls]
-    assert sizes[:-1] == [block] * (len(sizes) - 1) and 0 < sizes[-1] <= block
+    assert [(keys[0], keys[-1] + 1) for keys in calls] == list(inference._chunks(replicates, r))
     np.testing.assert_array_equal(np.concatenate(calls), np.arange(replicates))

@@ -501,6 +501,41 @@ def test_output_that_names_an_input_or_the_other_output_is_refused(
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+def run_cli_to(stdout, *args) -> subprocess.CompletedProcess:
+    """``run_cli`` with stdout going to ``stdout``, an open file or PIPE."""
+    return subprocess.run([sys.executable, "-m", "margshift.cli", *args],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("target", [
+    "file",
+    pytest.param("/dev/stdout", marks=pytest.mark.skipif(
+        not Path("/dev/stdout").exists(), reason="no /dev/stdout on this platform")),
+])
+@pytest.mark.parametrize("argv", [
+    ["estimate", "{active}", "--json", "{out}"],
+    CURVE + ["--out", "{out}"],
+], ids=["estimate-json", "curve-out"])
+def test_an_output_that_is_stdout_is_refused_before_any_work(argv, target, active_csv, tmp_path):
+    # the text would overwrite the report (stdout a file) or mix with it (a pipe)
+    stdout = tmp_path / "stdout.txt"
+    path = str(stdout) if target == "file" else target
+    argv = [a.format(active=active_csv, out=path) for a in argv]
+    with open(stdout, "w") as fh:
+        proc = run_cli_to(fh if target == "file" else subprocess.PIPE, *argv)
+    assert_clean_error(proc)
+    flag = argv[-2]
+    assert proc.stderr == f"error: {flag} {path} is the same file as stdout\n"
+    assert proc.stdout in (None, "")
+    assert stdout.read_bytes() == b""
+
+
+def test_an_output_at_the_null_device_is_allowed_when_stdout_is_too(active_csv):
+    with open(os.devnull, "w") as fh:
+        proc = run_cli_to(fh, "estimate", active_csv, "--json", os.devnull)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "{active}"],
     ["compare", "{active}", "{placebo}"],
