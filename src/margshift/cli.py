@@ -115,7 +115,9 @@ def _read(path: str, error: type[Exception]) -> bytes:
 def _decode(path: str, data: bytes, error: type[Exception]) -> str:
     """The UTF-8 text of a file's bytes, or ``error`` naming the file and the bad byte."""
     try:
-        return data.decode("utf-8")
+        # less the byte-order mark that spreadsheet tools write; not by the
+        # utf-8-sig codec, which counts a bad byte's offset from after the mark
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})") from exc
 
@@ -129,8 +131,7 @@ def parse_table_csv(path: str, data: bytes | None = None) -> CountTable:
     guessing what was meant.
     """
     data = _read(path, TableParseError) if data is None else data
-    # drop the byte-order mark that spreadsheet tools write
-    text = _decode(path, data, TableParseError).removeprefix("\ufeff")
+    text = _decode(path, data, TableParseError)
     reader = csv.reader(io.StringIO(text, newline=""))
     # each row keeps its own line number: blank rows are dropped below
     numbered = [(reader.line_num, [cell.strip() for cell in row]) for row in reader]
@@ -193,11 +194,6 @@ def parse_table_csv(path: str, data: bytes | None = None) -> CountTable:
 def _write_csv(path: str, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
-
-
-def write_table_csv(table: CountTable, path: str) -> None:
-    """Write bare counts (no header, no labels); round-trips through the parser."""
-    _write_csv(path, table.counts.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +345,7 @@ _SIMULATE_KEYS = ("delta", "base_hazard", "n", "replicates", "level", "seed")
 
 
 def _parse_config(path: str, data: bytes) -> dict:
-    values = {}
+    values, lines = {}, {}
     for line_no, line in enumerate(_decode(path, data, _UsageError).splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -360,7 +356,9 @@ def _parse_config(path: str, data: bytes) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _SIMULATE_KEYS:
             raise _UsageError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = value.strip()
+        if key in values:
+            raise _UsageError(f"{path}:{line_no}: key {key!r} is already set on line {lines[key]}")
+        values[key], lines[key] = value.strip(), line_no
     return values
 
 

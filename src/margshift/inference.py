@@ -73,6 +73,9 @@ __all__ = [
 # share of degenerate bootstrap replicates tolerated before giving up
 _DEGENERATE_REPLICATE_CAP = 0.01
 
+# what a delta-method report says when its se vanishes
+_ZERO_SE_FLAG = "delta-method se is 0: the interval has zero width"
+
 # Replicate loops draw and evaluate their tables in chunks of at most this
 # many cells and at most _SEED_BLOCK tables (but at least one table), which
 # bounds their working memory, the chunk's seed words included.  A chunk costs
@@ -284,11 +287,6 @@ def grad_phi(p: np.ndarray) -> np.ndarray:
     return _checked_grad(p, "phi", None)
 
 
-def _grad_psi(p: np.ndarray, lam: float) -> np.ndarray:
-    """Analytic gradient of psi(., lambda); needs every W1_i, W2_i > 0."""
-    return _checked_grad(p, "psi", lam)
-
-
 def grad_fd(
     p: np.ndarray, h: float = 1e-6, measure: str = "phi", lam: float | None = None
 ) -> np.ndarray:
@@ -302,7 +300,8 @@ def grad_fd(
     p : array-like
         Flat cell probabilities (length r^2).
     h : float
-        Step size, 0 < h < 1e-3.
+        Step size, 0 < h < 1e-3, large enough to move every cell:
+        a step lost in rounding beside a cell is a :class:`DomainError`.
     measure : {"phi", "psi"}
     lam : float, optional
         Divergence index, required when measure is "psi".
@@ -310,6 +309,8 @@ def grad_fd(
     h = _real(h, "step h", 0.0, 1e-3)
     measure, lam = _check_measure(measure, lam)
     vec, r = _flat_prob(p)
+    if np.any(vec + h == vec):
+        raise DomainError(f"step h = {h:g} is lost in rounding beside a cell of {vec.max():g}")
     _refuse(_terms(vec.reshape(r, r)), measure)  # same contract as the analytic route
     cells = r * r
     grad = np.empty(cells)
@@ -468,6 +469,8 @@ def wald_ci(
     EstimateReport
         With ``ci.method = "delta"``; endpoints are reported raw and
         ``ci.exceeds_range`` flags intervals leaving the logical range.
+        A zero se (a diagonal table, or psi at marginal homogeneity) gives a
+        zero-width interval, which ``degenerate_flags`` names.
 
     Raises
     ------
@@ -488,7 +491,7 @@ def wald_ci(
         ci=_wald_interval(estimate, float(se), level, *_RANGE[measure]),
         n=table.n,
         gradient_norm=float(np.linalg.norm(grad)),
-        degenerate_flags=(),
+        degenerate_flags=(_ZERO_SE_FLAG,) if se == 0.0 else (),
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from margshift import CountTable, TableParseError, cli, wald_ci
-from margshift.cli import main, parse_table_csv, write_table_csv
+from margshift.cli import main, parse_table_csv
 from conftest import ACTIVE_COUNTS, PLACEBO_COUNTS
 
 
@@ -46,6 +46,9 @@ def assert_clean_error(proc: subprocess.CompletedProcess) -> None:
     assert "Traceback" not in proc.stderr
 
 
+ZERO_SE_FLAG = "delta-method se is 0: the interval has zero width"
+
+
 def write_counts(path: Path, counts) -> str:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -66,9 +69,8 @@ def placebo_csv(tmp_path):
 
 class TestTableIO:
     def test_round_trip(self, tmp_path, active_table):
-        path = tmp_path / "t.csv"
-        write_table_csv(active_table, path)
-        assert parse_table_csv(str(path)) == active_table
+        path = write_counts(tmp_path / "t.csv", active_table.counts.tolist())
+        assert parse_table_csv(path) == active_table
 
     def test_header_and_labels_detected(self, tmp_path):
         path = tmp_path / "labeled.csv"
@@ -118,6 +120,12 @@ class TestTableIO:
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
         assert parse_table_csv(str(path)) == CountTable([[1, 2], [3, 4]])
+
+    def test_a_bad_byte_after_the_byte_order_mark_counts_it(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,\xff\n")
+        with pytest.raises(TableParseError, match=r"bom\.csv: byte 9: not UTF-8"):
+            parse_table_csv(str(path))
 
     def test_count_beyond_int64_position(self, tmp_path):
         path = tmp_path / "big.csv"
@@ -291,6 +299,20 @@ class TestEstimate:
         assert captured.err == f"error: argument --json: {message.format(tmp=tmp_path)}\n"
         assert not (tmp_path / "no").exists()
 
+    @pytest.mark.parametrize(
+        "counts, measure", [([[5, 0], [0, 5]], "phi"), ([[3, 1], [1, 3]], "psi:1")]
+    )
+    def test_zero_width_interval_is_noted(self, tmp_path, capsys, schema, counts, measure):
+        path = write_counts(tmp_path / "t.csv", counts)
+        assert main(["estimate", path, "--measure", measure]) == 0
+        shown = capsys.readouterr().out.splitlines()
+        assert "95% CI (delta): [0.000000, 0.000000]   se: 0.000000" in shown
+        assert f"note: {ZERO_SE_FLAG}" in shown
+        assert main(["estimate", path, "--measure", measure, "--json", "-"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        validate(report, schema)
+        assert report["results"]["degenerate_flags"] == [ZERO_SE_FLAG]
+
     def test_boundary_table_exits_two(self, tmp_path, capsys):
         path = write_counts(tmp_path / "left.csv", [[0, 0, 0], [0, 0, 0], [40, 60, 0]])
         assert main(["estimate", str(path)]) == 2
@@ -383,7 +405,10 @@ class TestCompare:
         assert "difference (A - B): 0.000000  95% CI [0.000000, 0.000000]" in shown
         assert "warning: both standard errors are zero; the interval is degenerate" in shown
         assert main(["compare", a, b, "--json", "-"]) == 0
-        assert json.loads(capsys.readouterr().out)["results"]["zero_width"] is True
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["zero_width"] is True
+        for group in ("group_a", "group_b"):
+            assert results[group]["degenerate_flags"] == [ZERO_SE_FLAG]
 
     def test_table_against_transpose(self, active_csv, tmp_path, capsys):
         transposed = write_counts(
@@ -671,6 +696,17 @@ def test_a_missing_input_is_reported_before_any_input_is_parsed(tmp_path, capsys
     assert captured.err == f"error: {missing}: No such file or directory\n"
 
 
+# one malformed value for each --config key, with the error its flag gives
+MALFORMED_CONFIG = [
+    ("level = x", "argument --level: invalid float value: 'x'"),
+    ("seed = 1.5", "argument --seed: invalid int value: '1.5'"),
+    ("replicates = 1e3", "argument --replicates: invalid int value: '1e3'"),
+    ("delta = x", "argument --delta: invalid float list value: 'x'"),
+    ("n = 1.5", "argument --n: invalid int list value: '1.5'"),
+    ("base_hazard = 0.3,y", "argument --base-hazard: invalid float list value: '0.3,y'"),
+]
+
+
 class TestSimulate:
     @pytest.mark.parametrize("flag", ["--out", "--json"])
     def test_output_in_a_missing_directory_is_refused_before_any_study(
@@ -757,20 +793,43 @@ class TestSimulate:
         cfg.write_text("horizon = 12\n")
         assert main(["simulate", "--config", str(cfg)]) == 1
 
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("level = x", "argument --level: invalid float value: 'x'"),
-            ("seed = 1.5", "argument --seed: invalid int value: '1.5'"),
-            ("replicates = 1e3", "argument --replicates: invalid int value: '1e3'"),
-        ],
-    )
-    def test_malformed_config_value_exits_one_like_the_flag(self, tmp_path, line, message):
+    @pytest.mark.parametrize("line, message", MALFORMED_CONFIG)
+    def test_malformed_config_value_exits_one_like_the_flag(
+        self, tmp_path, capsys, line, message
+    ):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         proc = run_cli("simulate", "--config", str(cfg))
         assert_clean_error(proc)
         assert proc.stderr == f"error: {message}\n"
+        key, _, value = (part.strip() for part in line.partition("="))
+        assert main(["simulate", f"--{key.replace('_', '-')}={value}"]) == 1
+        assert capsys.readouterr().err == proc.stderr
+
+    def test_every_config_key_has_a_malformed_value_case(self):
+        keys = [line.partition("=")[0].strip() for line, _ in MALFORMED_CONFIG]
+        assert sorted(keys) == sorted(cli._SIMULATE_KEYS)
+        # and every simulate flag that is not a file path is a config key
+        flags = _parser_flags()["simulate"] - {"--config", "--out", "--json"}
+        assert flags == {f"--{key.replace('_', '-')}" for key in keys}
+
+    def test_config_with_a_byte_order_mark_is_read(self, tmp_path, capsys):
+        # "UTF-8 with BOM", as some editors save it; read like a table with one
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn = 100\nreplicates = 100\n")
+        assert main(["simulate", "--config", str(cfg), "--json", "-"]) == 0
+        study = json.loads(capsys.readouterr().out)["results"]["studies"][0]
+        assert (study["n"], study["replicates"]) == (100, 100)
+
+    @pytest.mark.parametrize("first, second", [("n", "n"), ("base-hazard", "base_hazard")])
+    def test_a_repeated_config_key_exits_one(self, tmp_path, capsys, first, second):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(f"{first} = 0.5\n# again\n{second} = 0.6\n")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        key = first.replace("-", "_")
+        assert captured.err == f"error: {cfg}:3: key {key!r} is already set on line 1\n"
 
     def test_config_value_a_flag_overrides_is_never_parsed(self, tmp_path):
         cfg = tmp_path / "study.cfg"

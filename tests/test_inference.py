@@ -31,7 +31,7 @@ from margshift import (
     wald_ci,
     z_quantile,
 )
-from margshift.inference import ConfInterval, EstimateReport, _grad_psi, _percentile
+from margshift.inference import ConfInterval, EstimateReport, _checked_grad, _percentile
 from margshift.measures import _check_lambda
 from conftest import ACTIVE_COUNTS, random_positive_table
 
@@ -141,6 +141,13 @@ class TestGradients:
         with pytest.raises(DomainError):
             grad_fd(p, -1e-6)
 
+    def test_a_step_lost_in_rounding_is_refused(self):
+        # cell + h == cell: 1e-300 beside 0.25, and 1e-17 beside 0.5 (ulp 1.1e-16)
+        for p, h in ((np.full(4, 0.25), 1e-300), (np.array([0.5, 0.2, 0.2, 0.1]), 1e-17)):
+            with pytest.raises(DomainError, match="lost in rounding"):
+                grad_fd(p, h)
+            assert rel_gradient_error(grad_fd(p, 1e-6), grad_phi(p)) < 1e-6
+
     def test_boundary_table_not_differentiable(self):
         p = from_counts(CountTable([[0, 0, 0], [0, 0, 0], [40, 60, 0]])).p.ravel()
         with pytest.raises(NonDifferentiableError):
@@ -167,7 +174,7 @@ class TestGradients:
     def test_psi_gradient_matches_finite_differences(self, active_table):
         p = flat(active_table)
         for lam in (-0.5, 0.0, 1.0, 2.0):
-            an = _grad_psi(p, lam)
+            an = _checked_grad(p, "psi", lam)
             fd = grad_fd(p, measure="psi", lam=lam)
             assert rel_gradient_error(fd, an) < 1e-6
 
@@ -207,7 +214,30 @@ class TestZQuantile:
         assert z_quantile(q) == pytest.approx(NormalDist().inv_cdf(q), abs=1e-12)
 
 
+ZERO_SE_FLAG = "delta-method se is 0: the interval has zero width"
+
+# tables whose delta-method se is 0: diagonal tables, and psi at marginal homogeneity
+ZERO_SE_CASES = [
+    *[(np.diag(range(2, r + 2)).tolist(), measure, lam)
+      for r in (2, 3, 4, 5) for measure, lam in (("phi", None), ("psi", 1.0))],
+    ([[3, 1], [1, 3]], "psi", 0.0),
+    ([[3, 1], [1, 3]], "psi", 1.0),
+]
+
+
 class TestWaldCI:
+    @pytest.mark.parametrize("counts, measure, lam", ZERO_SE_CASES)
+    def test_a_zero_se_is_flagged(self, counts, measure, lam):
+        rep = wald_ci(CountTable(counts), 0.95, measure, lam)
+        assert rep.ci.se == 0.0
+        assert rep.ci.lower == rep.ci.estimate == rep.ci.upper
+        assert rep.degenerate_flags == (ZERO_SE_FLAG,)
+
+    def test_sleep_tables_carry_no_flag(self, active_table, placebo_table):
+        for table in (active_table, placebo_table):
+            for measure, lam in (("phi", None), ("psi", 0.0), ("psi", 1.0)):
+                assert wald_ci(table, 0.95, measure, lam).degenerate_flags == ()
+
     def test_active_drug_reproduction(self, active_table):
         rep = wald_ci(active_table, 0.95, "phi")
         assert rep.ci.estimate == pytest.approx(-0.655, abs=5e-4)
@@ -261,7 +291,7 @@ class TestWaldCI:
             xi = multinomial_covariance(p)
             for measure, lam, grad in (
                 ("phi", None, grad_phi(p)),
-                ("psi", 0.5, _grad_psi(p, 0.5)),
+                ("psi", 0.5, _checked_grad(p, "psi", 0.5)),
             ):
                 se = wald_ci(table, measure=measure, lam=lam).ci.se
                 assert se == pytest.approx(math.sqrt(grad @ xi @ grad / table.n), rel=1e-12)
@@ -312,7 +342,7 @@ def test_largest_accepted_lambda_gives_finite_value_gradient_and_se(active_table
     # where the gradient's (lambda + 1) (2x)^lambda is largest
     for table in (active_table, CountTable([[1, 100000], [1, 0]])):
         rep = wald_ci(table, measure="psi", lam=lam)
-        grad = _grad_psi(flat(table), lam)
+        grad = _checked_grad(flat(table), "psi", lam)
         assert np.all(np.isfinite(grad))
         assert all(map(math.isfinite, (rep.ci.estimate, rep.ci.se, rep.ci.lower, rep.ci.upper)))
         assert math.isfinite(rep.gradient_norm)
