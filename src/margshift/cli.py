@@ -23,7 +23,8 @@ report is one JSON document that validates against the package's
 ``schemas/run_report.schema.json`` and echoes the seed of a randomized
 command.  ``--out`` takes a file path, never "-", and no output path may
 name an input, the other output or the file stdout goes to.  A failed
-command prints nothing to stdout.
+command prints nothing to stdout.  ``compare`` prints a group's notes under
+its line, and names a group whose interval is undefined in the exit-2 message.
 
 Input: ``main`` alone reads the input files, each once and before any is
 parsed; the report's ``inputs[].sha256`` is the digest of the bytes that were
@@ -33,6 +34,7 @@ parsed, so a table or ``--config`` file may come through ``/dev/stdin``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import hashlib
@@ -255,18 +257,31 @@ def _ci_label(level: float) -> str:
     return f"{percent}% CI"
 
 
+def _delta_report(label, table, level, measure, lam) -> EstimateReport:
+    """The delta-method report on ``table``; ``label`` leads a refusal's or a degeneracy's text."""
+    try:
+        return wald_ci(table, level, measure, lam)
+    except NonDifferentiableError as exc:
+        raise _Refused(f"{label}{measure} = {_plugin_estimate(table, measure, lam):.6f}",
+                       f"delta-method confidence interval refused: {exc}") from exc
+    except DegenerateMassError as exc:
+        raise DegenerateMassError(f"{label}{exc}") from exc
+
+
+def _notes(rep: EstimateReport) -> list:
+    """The range warning, then one note per degenerate flag, of one interval."""
+    notes = [f"note: {flag}" for flag in rep.degenerate_flags]
+    if rep.ci.exceeds_range:
+        notes.insert(0, "warning: interval endpoints leave the measure's logical range")
+    return notes
+
+
 def cmd_estimate(args, inputs) -> tuple:
     table = parse_table_csv(*inputs["table"])
     measure, lam = args.measure
     if args.ci == "delta":
         seed = None
-        try:
-            rep = wald_ci(table, args.level, measure, lam)
-        except NonDifferentiableError as exc:
-            value = _plugin_estimate(table, measure, lam)
-            raise _Refused(
-                f"{measure} = {value:.6f}", f"delta-method confidence interval refused: {exc}"
-            ) from exc
+        rep = _delta_report("", table, args.level, measure, lam)
     else:
         seed = args.seed
         rep = bootstrap_ci(table, args.level, args.replicates, args.seed, measure, lam)
@@ -278,28 +293,29 @@ def cmd_estimate(args, inputs) -> tuple:
         f"estimate: {rep.ci.estimate:.6f}",
         f"{_ci_label(rep.ci.level)} ({rep.ci.method}): "
         f"[{rep.ci.lower:.6f}, {rep.ci.upper:.6f}]   se: {rep.ci.se:.6f}",
+        *_notes(rep),
     ]
-    if rep.ci.exceeds_range:
-        lines.append("warning: interval endpoints leave the measure's logical range")
-    lines += [f"note: {flag}" for flag in rep.degenerate_flags]
     if measure == "phi":  # psi is blind to the direction of the shift
         lines.append(f"note: {ORIENTATION_NOTE}")
     return lines, seed, _estimate_dict(rep)
 
 
 def cmd_compare(args, inputs) -> tuple:
-    table_a = parse_table_csv(*inputs["table_a"])
-    table_b = parse_table_csv(*inputs["table_b"])
-    rep_a = wald_ci(table_a, args.level, "phi")
-    rep_b = wald_ci(table_b, args.level, "phi")
-    comparison = compare_groups(rep_a, rep_b, args.level)
+    # both tables are parsed before either interval: a malformed table is an
+    # input error even beside a table whose interval is refused
+    tables = {dest: parse_table_csv(*inputs[dest]) for dest in ("table_a", "table_b")}
+    lines, reps, groups = [], [], {}
+    for label, dest in (("A", "table_a"), ("B", "table_b")):
+        path = getattr(args, dest)
+        rep = _delta_report(f"group {label}: {path}: ", tables[dest], args.level, "phi", None)
+        lines.append(f"group {label}: {path}  phi = {rep.ci.estimate:.6f}  "
+                     f"{_ci_label(rep.ci.level)} [{rep.ci.lower:.6f}, {rep.ci.upper:.6f}]")
+        lines += _notes(rep)
+        reps.append(rep)
+        groups[f"group_{label.lower()}"] = {"path": path, **_estimate_dict(rep)}
+    comparison = compare_groups(*reps, args.level)
     diff = comparison.difference
 
-    lines = [
-        f"group {label}: {path}  phi = {rep.ci.estimate:.6f}  "
-        f"{_ci_label(rep.ci.level)} [{rep.ci.lower:.6f}, {rep.ci.upper:.6f}]"
-        for label, path, rep in (("A", args.table_a, rep_a), ("B", args.table_b, rep_b))
-    ]
     lines.append(
         f"difference (A - B): {diff.estimate:.6f}  "
         f"{_ci_label(diff.level)} [{diff.lower:.6f}, {diff.upper:.6f}]   se: {diff.se:.6f}"
@@ -319,8 +335,7 @@ def cmd_compare(args, inputs) -> tuple:
     results = {
         "level": args.level,
         "assumes_independent_samples": True,
-        "group_a": {"path": args.table_a, **_estimate_dict(rep_a)},
-        "group_b": {"path": args.table_b, **_estimate_dict(rep_b)},
+        **groups,
         "difference": {"estimate": diff.estimate, "se": diff.se, "ci": _ci_dict(diff)},
         "significant": comparison.significant,
         "zero_width": comparison.zero_width,
@@ -431,21 +446,12 @@ def _output_path(text: str) -> str:
     return text if text == "-" else _file_path(text)
 
 
-def _same_file(a: str, b: str) -> bool:
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # one does not exist (yet): compare where they would be
-        return Path(a).resolve() == Path(b).resolve()
-
-
-def _is_stdout(path: str) -> bool:
-    """Whether ``path`` is the file behind fd 1, which the text output goes to;
-    never when fd 1 is closed or is the null device."""
-    try:
-        out, null = os.fstat(1), os.stat(os.devnull)
-        return os.path.samestat(os.stat(path), out) and not os.path.samestat(out, null)
-    except OSError:  # fd 1 is closed, or the path does not exist (yet)
-        return False
+def _file_id(path: str):
+    """What a path names: its file's (device, inode), or where the file would be."""
+    with contextlib.suppress(OSError):
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+    return Path(path).resolve()  # it does not exist (yet)
 
 
 # the options that name an input file, in report order: dest -> name in messages
@@ -454,19 +460,23 @@ _INPUTS = {"table": "table", "table_a": "table_a", "table_b": "table_b", "config
 
 def _check_outputs(args) -> list:
     """The (dest, path) of each input the command names, in report order, once
-    no output path is the same file as an input, the other output or stdout."""
+    no output path is the same file as stdout, an input or the other output."""
     inputs = [(dest, getattr(args, dest)) for dest in _INPUTS if getattr(args, dest, None)]
-    seen = [(_INPUTS[dest], path) for dest, path in inputs]
+    # file id -> how a refusal names it; the first input to name a file wins
+    taken = {_file_id(path): f"{_INPUTS[dest]} {path}" for dest, path in reversed(inputs)}
+    # the text goes to fd 1, so its file is taken too, over any input, unless
+    # fd 1 is closed or is the null device
+    with contextlib.suppress(OSError):
+        out = os.fstat(1)
+        if not os.path.samestat(out, os.stat(os.devnull)):
+            taken[out.st_dev, out.st_ino] = "stdout"
     for dest, name in (("out", "--out"), ("json", "--json")):
         path = getattr(args, dest, None)
         if path in (None, "-"):
             continue
-        if _is_stdout(path):
-            raise _UsageError(f"{name} {path} is the same file as stdout")
-        for other_name, other in seen:
-            if _same_file(path, other):
-                raise _UsageError(f"{name} {path} is the same file as {other_name} {other}")
-        seen.append((name, path))
+        if (key := _file_id(path)) in taken:
+            raise _UsageError(f"{name} {path} is the same file as {taken[key]}")
+        taken[key] = f"{name} {path}"
     return inputs
 
 

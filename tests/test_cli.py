@@ -378,6 +378,17 @@ class TestEstimate:
         assert report["results"]["estimate"] == pytest.approx(-0.655, abs=5e-4)
 
 
+# tables whose delta-method interval is undefined, with their exit-2 stderr: the
+# label is blank for estimate and "group B: PATH: " for compare with the table as B
+UNDEFINED = [
+    ([[2, 1], [0, 0]],
+     "{label}phi = 1.000000\n"
+     "delta-method confidence interval refused: the estimate sits at the boundary phi = 1; "
+     "the delta-method interval is undefined there\n"),
+    ([[10, 0], [0, 0]], "degenerate: {label}all discordance terms vanish; phi is undefined\n"),
+]
+
+
 class TestCompare:
     def test_published_conclusion(self, active_csv, placebo_csv, tmp_path, capsys, schema):
         out = tmp_path / "cmp.json"
@@ -409,6 +420,60 @@ class TestCompare:
         assert results["zero_width"] is True
         for group in ("group_a", "group_b"):
             assert results[group]["degenerate_flags"] == [ZERO_SE_FLAG]
+
+    @pytest.mark.parametrize("diag_first", [True, False], ids=["A", "B"])
+    def test_a_zero_width_group_is_noted_under_its_own_line(
+        self, active_csv, tmp_path, capsys, diag_first
+    ):
+        diag = write_counts(tmp_path / "diag.csv", [[5, 0], [0, 5]])
+        assert main(["compare", *((diag, active_csv) if diag_first else (active_csv, diag))]) == 0
+        shown = capsys.readouterr().out.splitlines()
+        at = 0 if diag_first else 1
+        assert shown[at] == f"group {'AB'[at]}: {diag}  phi = 0.000000  95% CI [0.000000, 0.000000]"
+        assert shown[at + 1] == f"note: {ZERO_SE_FLAG}"
+        # the sleep table's group has no note, and its nonzero se leaves no zero-width warning
+        assert [line for line in shown if line.startswith(("note: delta", "warning"))] == [
+            f"note: {ZERO_SE_FLAG}"
+        ]
+
+    def test_an_out_of_range_group_is_warned_under_its_own_line(
+        self, active_csv, tmp_path, capsys
+    ):
+        edge = write_counts(tmp_path / "edge.csv", [[1, 5], [0, 1]])
+        assert main(["compare", edge, active_csv]) == 0
+        shown = capsys.readouterr().out.splitlines()
+        assert shown[0].startswith(f"group A: {edge}  phi = ")
+        assert shown[1] == "warning: interval endpoints leave the measure's logical range"
+        assert shown[2].startswith(f"group B: {active_csv}  phi = ")
+
+    @pytest.mark.parametrize("counts, err", UNDEFINED, ids=["boundary", "all-vanish"])
+    def test_an_undefined_group_is_named_in_the_exit_two_message(
+        self, active_csv, tmp_path, capsys, counts, err
+    ):
+        path = write_counts(tmp_path / "c.csv", counts)
+        for argv in (["compare", active_csv, path], ["compare", active_csv, path, "--json", "-"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == err.format(label=f"group B: {path}: ")
+
+    @pytest.mark.parametrize("counts, err", UNDEFINED, ids=["boundary", "all-vanish"])
+    def test_estimate_names_no_group_for_the_same_tables(self, tmp_path, capsys, counts, err):
+        path = write_counts(tmp_path / "c.csv", counts)
+        assert main(["estimate", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err.format(label="")
+
+    def test_a_malformed_table_b_beside_a_refused_table_a_exits_one(self, tmp_path, capsys):
+        # both tables are parsed before either interval
+        refused = write_counts(tmp_path / "c.csv", UNDEFINED[0][0])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2\n3\n")
+        assert main(["compare", refused, str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}:2: expected 2 numeric cells, found 1\n"
 
     def test_table_against_transpose(self, active_csv, tmp_path, capsys):
         transposed = write_counts(
@@ -805,6 +870,16 @@ class TestSimulate:
         key, _, value = (part.strip() for part in line.partition("="))
         assert main(["simulate", f"--{key.replace('_', '-')}={value}"]) == 1
         assert capsys.readouterr().err == proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--delta=,"], "argument --delta: invalid float list value: ','"),
+        (["--n", " "], "argument --n: invalid int list value: ' '"),
+    ], ids=["delta", "n"])
+    def test_a_list_value_without_an_item_exits_one(self, capsys, argv, message):
+        assert main(["simulate", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_every_config_key_has_a_malformed_value_case(self):
         keys = [line.partition("=")[0].strip() for line, _ in MALFORMED_CONFIG]
