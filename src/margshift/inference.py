@@ -159,28 +159,26 @@ def _flat_prob(p: np.ndarray) -> tuple[np.ndarray, int]:
         raise ShapeError("flat probability vector must be 1-d")
     r = math.isqrt(vec.shape[0])
     if r * r != vec.shape[0] or r < 2:
-        raise ShapeError(
-            f"vector length {vec.shape[0]} is not r^2 for a table with r >= 2"
-        )
+        raise ShapeError(f"vector length {vec.shape[0]} is not r^2 for a table with r >= 2")
     _check_probs(vec.reshape(r, r))
     return vec, r
 
 
 def _refusals(terms, measure: str):
-    """(error, message, per-index condition, reduction over the indices) for
-    each reason the gradient is refused, in the order the reasons are reported."""
+    """(error, message, per-index condition, reduction over the indices) for each reason
+    a delta-method interval is refused, in the one order every route reports: undefined first."""
     w1, w2 = terms.w1, terms.w2
     vanish = (w1 + w2) == 0.0
     boundary = ("the estimate sits at the boundary " + measure + " = {}; "
                 "the delta-method interval is undefined there")
     nondiff = NonDifferentiableError
     checks = [
+        (DegenerateMassError, f"all discordance terms vanish; {measure} is undefined",
+         vanish, np.all),
         (nondiff, "row survival is exhausted at index {i}; the hazard there is a 0/0",
          terms.exhausted_x, np.any),
         (nondiff, "column survival is exhausted at index {i}; the hazard there is a 0/0",
          terms.exhausted_y, np.any),
-        (DegenerateMassError, "all discordance terms vanish; the measure is undefined",
-         vanish, np.all),
         (nondiff, "both discordance terms vanish at index {i}; the angle there is undefined",
          vanish, np.any),
         # phi is -1 where every W1 vanishes and +1 where every W2 does; psi is 1 at both
@@ -279,7 +277,7 @@ def grad_phi(p: np.ndarray) -> np.ndarray:
     Raises
     ------
     DegenerateMassError
-        If the total discordance mass is zero.
+        If the total discordance mass is zero; this is checked first.
     NonDifferentiableError
         If any survival in use is exhausted, any index has
         W1_i = W2_i = 0, or the estimate sits at the boundary phi = +-1.
@@ -305,6 +303,11 @@ def grad_fd(
     measure : {"phi", "psi"}
     lam : float, optional
         Divergence index, required when measure is "psi".
+
+    Raises
+    ------
+    DegenerateMassError, NonDifferentiableError
+        As :func:`wald_ci`, for the same first reason, before any step.
     """
     h = _real(h, "step h", 0.0, 1e-3)
     measure, lam = _check_measure(measure, lam)
@@ -475,7 +478,7 @@ def wald_ci(
     Raises
     ------
     DegenerateMassError, NonDifferentiableError
-        Propagated from the measure and gradient with diagnostics.
+        The undefined measure first, then the gradient's first reason (see :func:`grad_phi`).
     """
     if not isinstance(table, CountTable):
         table = CountTable(table)
@@ -483,12 +486,11 @@ def wald_ci(
     measure, lam = _check_measure(measure, lam)
 
     estimate, se, grad, terms = _delta(table.counts, measure, lam)
-    estimate = _scalar(estimate, measure)
     _refuse(terms, measure)
     return EstimateReport(
         measure=measure,
         lam=lam,
-        ci=_wald_interval(estimate, float(se), level, *_RANGE[measure]),
+        ci=_wald_interval(float(estimate), float(se), level, *_RANGE[measure]),
         n=table.n,
         gradient_norm=float(np.linalg.norm(grad)),
         degenerate_flags=(_ZERO_SE_FLAG,) if se == 0.0 else (),
@@ -560,7 +562,6 @@ def bootstrap_ci(
         upper=upper,
         level=level,
         method="bootstrap-percentile",
-        exceeds_range=False,
     )
     return EstimateReport(
         measure=measure,

@@ -32,6 +32,8 @@ from margshift import (
     coverage_study,
     discordance,
     from_counts,
+    grad_fd,
+    grad_phi,
     hazards,
     marginals,
     phi_of_delta,
@@ -121,12 +123,12 @@ def ref_value(p, measure, lam):
 def ref_grad(p, measure, lam):
     """Analytic gradient; raises NonDifferentiableError tagged with its reason."""
     omega_x, omega_y, surv_x, surv_y, w1, w2 = ref_terms(p)
-    for name, surv in (("row exhausted", surv_x), ("column exhausted", surv_y)):
-        if np.any(surv[:-1] == 0.0):
-            raise NonDifferentiableError(name)
     t = w1 + w2
     if float(np.sum(t)) == 0.0:
         raise DegenerateMassError("all discordance terms vanish")
+    for name, surv in (("row exhausted", surv_x), ("column exhausted", surv_y)):
+        if np.any(surv[:-1] == 0.0):
+            raise NonDifferentiableError(name)
     if np.any(t == 0.0):
         raise NonDifferentiableError("both vanish")
     if np.all(w1 == 0.0) or np.all(w2 == 0.0):
@@ -435,6 +437,58 @@ def test_the_kernel_matches_the_public_chain_bit_for_bit(kind):
             np.testing.assert_array_equal(prob.p, p[k])
             np.testing.assert_array_equal(d.w1, t.w1[k])
             np.testing.assert_array_equal(d.w2, t.w2[k])
+
+
+# ---------------------------------------------------------------------------
+# refusals
+# ---------------------------------------------------------------------------
+
+# every discordance term vanishes and both margins exhaust their survivals:
+# the undefined measure is the reason every route reports
+VANISHING_AND_EXHAUSTED = np.array([[[9, 0, 0], [0, 0, 0], [0, 0, 0]]])
+
+
+def refusal(fn, *args, **kwargs):
+    """None if the call returns, else the class and message of its refusal."""
+    try:
+        fn(*args, **kwargs)
+    except (DegenerateMassError, NonDifferentiableError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("measure, lam", [("phi", None), ("psi", 1.0), ("psi", 0.0)])
+@pytest.mark.parametrize("kind", KERNEL_KINDS + ["vanishing and exhausted"])
+def test_every_delta_method_route_refuses_for_the_same_first_reason(kind, measure, lam):
+    stacks = kernel_stacks(kind) if kind in KERNEL_KINDS else [VANISHING_AND_EXHAUSTED]
+    for counts in stacks:
+        refused = inference._refused(_table_terms(counts)[2], measure)
+        for k, table in enumerate(counts):
+            p = from_counts(CountTable(table)).p.ravel()
+            wald = refusal(wald_ci, CountTable(table), measure=measure, lam=lam)
+            assert refusal(inference._checked_grad, p, measure, lam) == wald, (table.shape, k)
+            # the finite-difference loop is O(r^4), about a minute for one r = 200
+            # table, so there it runs only where a refusal ends it before any step
+            if wald is not None or table.shape[0] <= 50:
+                assert refusal(grad_fd, p, measure=measure, lam=lam) == wald, (table.shape, k)
+            assert refused[k] == (wald is not None), (table.shape, k)
+            if wald is not None:
+                # the references tag their reasons, so only the classes must agree;
+                # ref_grad goes first, as ref_wald builds the dense covariance if
+                # nothing is refused
+                ref = refusal(ref_grad, ref_probs(table), measure, lam)
+                assert ref is not None and ref[0] is wald[0], (table.shape, k, ref, wald)
+                ref = refusal(ref_wald, table, 0.95, measure, lam)
+                assert ref is not None and ref[0] is wald[0], (table.shape, k, ref, wald)
+
+
+def test_a_vanishing_exhausted_table_is_refused_as_undefined_by_every_route():
+    table = CountTable(VANISHING_AND_EXHAUSTED[0])
+    p = from_counts(table).p.ravel()
+    message = "^all discordance terms vanish; phi is undefined$"
+    for route, arg in ((wald_ci, table), (grad_phi, p), (grad_fd, p)):
+        with pytest.raises(DegenerateMassError, match=message):
+            route(arg)
 
 
 # ---------------------------------------------------------------------------

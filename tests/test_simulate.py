@@ -1,6 +1,8 @@
 """Multinomial sampling and coverage studies."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +106,20 @@ class TestCoverageStudy:
         w_n = coverage_study(spec(n=400, **base)).mean_width
         w_2n = coverage_study(spec(n=800, **base)).mean_width
         assert w_2n / w_n == pytest.approx(1.0 / math.sqrt(2.0), rel=0.05)
+
+    def test_a_cell_of_the_committed_boundary_map_reruns_exactly(self):
+        # data/coverage_boundary.csv is the output of `margshift simulate
+        # --base-hazard 0.3,0.4,0.5 --delta 1,2,3 --n 200,1000,5000 --replicates 20000
+        # --seed 1`; delta = 3, n = 1000 is its eighth study, seeded 1 + 7, where
+        # the interval covers 0.57.  The row is compared as written, not bounded
+        path = Path(__file__).resolve().parents[1] / "data" / "coverage_boundary.csv"
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        res = coverage_study(
+            spec(delta=3.0, base=(0.3, 0.4, 0.5), n=1000, replicates=20_000, seed=8)
+        )
+        assert rows[0] == list(res.as_dict())
+        assert rows[8] == [str(v) for v in res.as_dict().values()]
 
     def test_degenerate_replicates_are_counted_not_hidden(self):
         # tiny samples on a sparse-margin scenario produce some replicates
