@@ -152,16 +152,16 @@ def _check_measure(measure: str, lam: float | None) -> tuple[str, float | None]:
     return "psi", _check_lambda(lam)  # a missing lambda is refused there
 
 
-def _flat_prob(p: np.ndarray) -> tuple[np.ndarray, int]:
-    """Validate a flat cell-probability vector as ProbTable cells; return it as given, with r."""
+def _prob_cells(p: np.ndarray) -> np.ndarray:
+    """Validate a flat cell-probability vector as ProbTable cells; return it as given, r x r."""
     vec = np.asarray(p, dtype=np.float64)
     if vec.ndim != 1:
         raise ShapeError("flat probability vector must be 1-d")
     r = math.isqrt(vec.shape[0])
     if r * r != vec.shape[0] or r < 2:
         raise ShapeError(f"vector length {vec.shape[0]} is not r^2 for a table with r >= 2")
-    _check_probs(vec.reshape(r, r))
-    return vec, r
+    _check_probs(cells := vec.reshape(r, r))
+    return cells
 
 
 def _refusals(terms, measure: str):
@@ -256,13 +256,13 @@ def multinomial_covariance(p: np.ndarray) -> np.ndarray:
     all-ones vector (its rows sum to zero).  The interval code never builds
     it (see the module docstring); it is kept as a reference.
     """
-    vec, _ = _flat_prob(p)
+    vec = _prob_cells(p).ravel()
     return np.diag(vec) - np.outer(vec, vec)
 
 
 def _checked_grad(p: np.ndarray, measure: str, lam: float | None) -> np.ndarray:
-    vec, r = _flat_prob(p)
-    terms = _terms(vec.reshape(r, r))
+    cells = _prob_cells(p)
+    terms = _terms(cells.sum(axis=-1), cells.sum(axis=-2))
     _refuse(terms, measure)
     return _grad(terms, measure, lam)
 
@@ -290,16 +290,17 @@ def grad_fd(
 ) -> np.ndarray:
     """Central-finite-difference gradient of phi (or psi), the audit route.
 
-    Each cell is stepped by +-h without renormalizing; degree-0 homogeneity
-    of the measures in the cells makes that legitimate.
+    Steps each of the 2r margin entries, all that a measure reads, by +-h off
+    the simplex (degree-0 homogeneity makes that legitimate), in one O(r^2)
+    call; cell (i, j) gets row i's slope plus column j's, as in :func:`grad_phi`.
 
     Parameters
     ----------
     p : array-like
         Flat cell probabilities (length r^2).
     h : float
-        Step size, 0 < h < 1e-3, large enough to move every cell:
-        a step lost in rounding beside a cell is a :class:`DomainError`.
+        Step size, 0 < h < 1e-3, large enough to move every margin entry:
+        a step lost in rounding beside a margin is a :class:`DomainError`.
     measure : {"phi", "psi"}
     lam : float, optional
         Divergence index, required when measure is "psi".
@@ -311,18 +312,20 @@ def grad_fd(
     """
     h = _real(h, "step h", 0.0, 1e-3)
     measure, lam = _check_measure(measure, lam)
-    vec, r = _flat_prob(p)
-    if np.any(vec + h == vec):
-        raise DomainError(f"step h = {h:g} is lost in rounding beside a cell of {vec.max():g}")
-    _refuse(_terms(vec.reshape(r, r)), measure)  # same contract as the analytic route
-    cells = r * r
-    grad = np.empty(cells)
-    for lo, hi in _chunks(cells, r):
-        step = h * np.eye(hi - lo, cells, lo)  # row k steps cell lo + k
-        t = _terms(np.stack((vec + step, vec - step)).reshape(2, hi - lo, r, r))
-        plus, minus = _raw(t.w1, t.w2, _scores(t.w1, t.w2, measure, lam))
-        grad[lo:hi] = (plus - minus) / (2.0 * h)
-    return grad
+    cells = _prob_cells(p)
+    row, col = cells.sum(axis=-1), cells.sum(axis=-2)
+    m = np.concatenate((row, col))  # every margin entry, each of which is stepped
+    if np.any(m + h == m):
+        raise DomainError(f"step h = {h:g} is lost in rounding beside a margin of {m.max():g}")
+    _refuse(_terms(row, col), measure)  # same contract as the analytic route
+    r = row.shape[0]
+    step = h * np.eye(r)
+    # 4r margin pairs: row entry k stepped by +h, by -h, then column entry k alike
+    t = _terms(np.concatenate((row + step, row - step, np.tile(row, (2 * r, 1)))),
+               np.concatenate((np.tile(col, (2 * r, 1)), col + step, col - step)))
+    v = _raw(t.w1, t.w2, _scores(t.w1, t.w2, measure, lam)).reshape(2, 2, r)  # margin, sign, k
+    g_row, g_col = (v[:, 0] - v[:, 1]) / (2.0 * h)
+    return (g_row[:, None] + g_col[None, :]).ravel()
 
 
 def _plugin_estimate(table: CountTable, measure: str, lam: float | None) -> float:

@@ -111,11 +111,11 @@ class AngleDecomposition:
 
     def __post_init__(self) -> None:
         _freeze_fields(self, theta=np.float64, weight=np.float64, defined=bool)
-        th = self.theta[self.defined]
-        if np.any(th < 0.0) or np.any(th > math.pi / 2.0):
+        th, w = self.theta[self.defined], self.weight[self.defined]
+        if not np.all((0.0 <= th) & (th <= math.pi / 2.0)):  # NaN fails too
             raise DomainError("defined angles must lie in [0, pi/2]")
-        if abs(float(self.weight[self.defined].sum()) - 1.0) > 1e-12:
-            raise DomainError("defined weights must sum to 1")
+        if not np.all((0.0 <= w) & (w <= 1.0)) or abs(float(w.sum()) - 1.0) > 1e-12:
+            raise DomainError("defined weights must sum to 1, each in [0, 1]")
 
 
 def _check_lambda(lam: float) -> float:
@@ -133,7 +133,7 @@ def _check_lambda(lam: float) -> float:
 def _check_discordance(w1: np.ndarray, w2: np.ndarray) -> None:
     """DiscordanceTerms value invariants over (..., r - 1)."""
     for name, w in (("w1", w1), ("w2", w2)):
-        if np.any(w < 0.0) or np.any(w > 1.0) or not np.all(np.isfinite(w)):
+        if not np.all((0.0 <= w) & (w <= 1.0)):  # NaN fails too
             raise DomainError(f"{name} entries must lie in [0, 1]")
 
 
@@ -142,7 +142,7 @@ def _w(omega_x: np.ndarray, omega_y: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class _Terms(NamedTuple):
-    """Intermediates of the cells -> marginals -> hazards -> W chain."""
+    """Intermediates of the marginals -> hazards -> W chain."""
 
     surv_x: np.ndarray
     surv_y: np.ndarray
@@ -154,12 +154,9 @@ class _Terms(NamedTuple):
     w2: np.ndarray
 
 
-def _terms(cells: np.ndarray) -> _Terms:
-    """The W chain over cells (..., r, r), for any leading batch shape.
-
-    Unvalidated, so it stays evaluable off the simplex (finite differences).
-    """
-    row, col = cells.sum(axis=-1), cells.sum(axis=-2)
+def _terms(row: np.ndarray, col: np.ndarray) -> _Terms:
+    """The W chain over row and column margins (..., r), any leading batch shape, all
+    that a table's measures read.  Unvalidated, so it stays evaluable off the simplex."""
     surv_x, surv_y = _tail_sums(row), _tail_sums(col)
     omega_x, exhausted_x = _hazard(row, surv_x)
     omega_y, exhausted_y = _hazard(col, surv_y)
@@ -180,7 +177,7 @@ def _table_terms(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Terms]:
     counts, totals = _check_counts(counts)
     p = counts / totals
     p /= _table_mass(p)  # in place: one cell-sized array fewer
-    return p, totals, _terms(p)
+    return p, totals, _terms(p.sum(axis=-1), p.sum(axis=-2))
 
 
 def _scores(w1: np.ndarray, w2: np.ndarray, measure: str, lam: float | None) -> np.ndarray:

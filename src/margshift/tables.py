@@ -196,7 +196,7 @@ def _check_hazards(omega_x, omega_y, exhausted_x, exhausted_y) -> None:
         (omega_x, exhausted_x, "omega_x"),
         (omega_y, exhausted_y, "omega_y"),
     ):
-        if np.any(omega < 0.0) or np.any(omega > 1.0):
+        if not np.all((0.0 <= omega) & (omega <= 1.0)):  # NaN fails too
             raise DomainError(f"{name} entries must lie in [0, 1]")
         if np.any(omega[flag] != 0.0):
             raise DomainError(f"exhausted {name} entries must be 0 by convention")

@@ -41,7 +41,7 @@ from margshift import (
     wald_ci,
     z_quantile,
 )
-from margshift.measures import _check_discordance, _table_terms
+from margshift.measures import _check_discordance, _raw, _scores, _table_terms, _terms
 from margshift.tables import _check_hazards, _check_marginals, _check_probs, _tail_sums
 from conftest import ACTIVE_COUNTS
 
@@ -170,6 +170,17 @@ def ref_grad(p, measure, lam):
     g_row = to_marginal(g_ox, omega_x, surv_x)
     g_col = to_marginal(g_oy, omega_y, surv_y)
     return (g_row[:, None] + g_col[None, :]).ravel()
+
+
+def ref_grad_fd_cells(p, h, measure, lam):
+    """grad_fd as it stepped each of the r^2 cells by +-h through a whole table,
+    O(r^4); up to r = 12 its chunked loop made this one pass."""
+    r = math.isqrt(p.shape[0])
+    step = h * np.eye(r * r)  # row k steps cell k
+    stack = np.stack((p + step, p - step)).reshape(2, r * r, r, r)
+    t = _terms(stack.sum(axis=-1), stack.sum(axis=-2))
+    plus, minus = _raw(t.w1, t.w2, _scores(t.w1, t.w2, measure, lam))
+    return (plus - minus) / (2.0 * h)
 
 
 def ref_wald(counts, level, measure, lam):
@@ -467,10 +478,7 @@ def test_every_delta_method_route_refuses_for_the_same_first_reason(kind, measur
             p = from_counts(CountTable(table)).p.ravel()
             wald = refusal(wald_ci, CountTable(table), measure=measure, lam=lam)
             assert refusal(inference._checked_grad, p, measure, lam) == wald, (table.shape, k)
-            # the finite-difference loop is O(r^4), about a minute for one r = 200
-            # table, so there it runs only where a refusal ends it before any step
-            if wald is not None or table.shape[0] <= 50:
-                assert refusal(grad_fd, p, measure=measure, lam=lam) == wald, (table.shape, k)
+            assert refusal(grad_fd, p, measure=measure, lam=lam) == wald, (table.shape, k)
             assert refused[k] == (wald is not None), (table.shape, k)
             if wald is not None:
                 # the references tag their reasons, so only the classes must agree;
@@ -480,6 +488,26 @@ def test_every_delta_method_route_refuses_for_the_same_first_reason(kind, measur
                 assert ref is not None and ref[0] is wald[0], (table.shape, k, ref, wald)
                 ref = refusal(ref_wald, table, 0.95, measure, lam)
                 assert ref is not None and ref[0] is wald[0], (table.shape, k, ref, wald)
+
+
+@pytest.mark.parametrize("measure, lam", [("phi", None), ("psi", 1.0), ("psi", 0.0)])
+def test_margin_steps_match_the_cell_stepped_reference(measure, lam):
+    compared = 0
+    for kind in KERNEL_KINDS:  # the exhausted and single-cell tables are all refused
+        for counts in kernel_stacks(kind):
+            if counts.shape[-1] > 12:
+                continue
+            for table in counts:
+                if refusal(wald_ci, CountTable(table), measure=measure, lam=lam) is not None:
+                    continue
+                p = from_counts(CountTable(table)).p.ravel()
+                # floored at 1: psi has a zero gradient at marginal homogeneity
+                scale = max(float(np.max(np.abs(inference._checked_grad(p, measure, lam)))), 1.0)
+                error = np.max(np.abs(grad_fd(p, measure=measure, lam=lam)
+                                      - ref_grad_fd_cells(p, 1e-6, measure, lam)))
+                assert error <= 1e-8 * scale, (kind, table.shape, error, scale)
+                compared += 1
+    assert compared >= 100
 
 
 def test_a_vanishing_exhausted_table_is_refused_as_undefined_by_every_route():

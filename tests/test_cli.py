@@ -1086,3 +1086,22 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 1
+
+
+# The seeded JSON reports, byte for byte, as sha256 prefixes of stdout; any change
+# to what a command computes or prints moves one of them.
+REPORT_DIGESTS = [
+    ("estimate data/sleep_active.csv", "1761c7e98f5843f5"),
+    ("compare data/sleep_active.csv data/sleep_placebo.csv", "09fd5cedbe25ee59"),
+    ("estimate data/sleep_active.csv --measure psi:1 --ci bootstrap --replicates 10000 --seed 7",
+     "052f3bc6c668e3a0"),
+    ("simulate --delta=-1,0,1 --n 500,1000 --replicates 2000 --seed 42", "bb8b7a6fb2a99643"),
+]
+
+
+@pytest.mark.parametrize("command, digest", REPORT_DIGESTS)
+def test_seeded_reports_are_byte_identical(command, digest, capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])  # the report names its inputs
+    assert main([*command.split(), "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from statistics import NormalDist
 
@@ -109,6 +110,15 @@ class TestGradients:
             p = flat(random_positive_table(rng, r))
             worst = max(worst, rel_gradient_error(grad_fd(p), grad_phi(p)))
         assert worst < 1e-6
+
+    def test_matches_at_r_200_in_under_a_second(self):
+        # 2r margin entries are stepped, not r^2 cells: O(r^2), not O(r^4)
+        p = flat(random_positive_table(np.random.default_rng(200), 200))
+        for measure, lam in (("phi", None), ("psi", 1.0)):
+            start = time.perf_counter()
+            fd = grad_fd(p, measure=measure, lam=lam)
+            assert time.perf_counter() - start < 1.0
+            assert rel_gradient_error(fd, _checked_grad(p, measure, lam)) < 1e-6
 
     def test_richardson_order(self, active_table):
         """Halving the step divides the truncation error by about four."""

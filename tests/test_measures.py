@@ -253,6 +253,9 @@ class TestAngleDecomposition:
         ([0.5, -0.1], [0.5, 0.5], r"angles must lie in \[0, pi/2\]"),
         ([0.5, 1.6], [0.5, 0.5], r"angles must lie in \[0, pi/2\]"),
         ([0.5, 0.5], [0.5, 0.4], "weights must sum to 1"),
+        ([0.5, np.nan], [0.5, 0.5], r"angles must lie in \[0, pi/2\]"),
+        ([0.5, 0.5], [np.nan, 0.5], r"weights must sum to 1, each in \[0, 1\]"),
+        ([0.5, 0.5], [1.5, -0.5], r"weights must sum to 1, each in \[0, 1\]"),
     ])
     def test_invalid_record_refused(self, theta, weight, message):
         with pytest.raises(DomainError, match=message):

@@ -201,13 +201,18 @@ class TestHazards:
         np.testing.assert_array_equal(h.omega_x, h.omega_y)
 
     def test_hazard_pair_validation(self):
-        with pytest.raises(DomainError):
-            HazardPair(
-                omega_x=[0.5, 1.2],  # out of [0, 1]
-                omega_y=[0.5, 0.5],
-                exhausted_x=[False, False],
-                exhausted_y=[False, False],
-            )
+        # out of [0, 1], or NaN, which every range check must fail
+        for omega_x, omega_y, name in (([0.5, 1.2], [0.5, 0.5], "omega_x"),
+                                       ([np.nan, 0.2], [0.5, 0.5], "omega_x"),
+                                       ([0.5, 0.5], [0.3, np.nan], "omega_y"),
+                                       ([0.5, 0.5], [-np.inf, 0.3], "omega_y")):
+            with pytest.raises(DomainError, match=f"^{name} entries must lie in"):
+                HazardPair(
+                    omega_x=omega_x,
+                    omega_y=omega_y,
+                    exhausted_x=[False, False],
+                    exhausted_y=[False, False],
+                )
 
     def test_nonzero_hazard_at_an_exhausted_index_is_refused(self):
         with pytest.raises(DomainError, match="exhausted omega_y entries must be 0"):
