@@ -213,26 +213,30 @@ def _slope(x: np.ndarray, measure: str, lam: float | None) -> np.ndarray:
     return (lam + 1.0) * ((2.0 * x) ** lam - (2.0 * (1.0 - x)) ** lam) / math.expm1(lam * _LN2)
 
 
-def _raw(w1: np.ndarray, w2: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """sum_i u_i s_i of the given :func:`_scores` over the last axis, unclamped, with
-    weights u_i = (W1_i + W2_i) / sum_j (W1_j + W2_j); NaN where every W1 + W2 = 0."""
+def _mean(w1: np.ndarray, w2: np.ndarray, measure: str, lam: float | None):
+    """Masses t = W1 + W2, their total T (keepdims), the :func:`_scores` s and the
+    unclamped mean V = sum_i (t_i / T) s_i over the last axis; V is NaN where T = 0."""
     t = w1 + w2
+    total = np.sum(t, axis=-1, keepdims=True)
+    scores = _scores(w1, w2, measure, lam)
+    # an index with W1 + W2 = 0 has weight 0 and a finite score, so it adds 0
     with np.errstate(invalid="ignore"):
-        u = t / np.sum(t, axis=-1, keepdims=True)
-    # an index with W1 + W2 = 0 has u = 0 and a finite score, so it adds 0
-    return np.sum(u * scores, axis=-1)
+        return t, total, scores, np.sum(t / total * scores, axis=-1)
 
 
 # logical range of each measure
 _RANGE = {"phi": (-1.0, 1.0), "psi": (0.0, 1.0)}
 
 
-def _value(w1: np.ndarray, w2: np.ndarray, measure: str, lam: float | None) -> np.ndarray:
-    """phi or psi over the last axis, clamped into range; NaN marks degenerate mass."""
+def _clamp(value: np.ndarray, measure: str) -> np.ndarray:
+    """A :func:`_mean` V clamped into the measure's range; NaN marks degenerate mass."""
     lo, hi = _RANGE[measure]
-    value = _raw(w1, w2, _scores(w1, w2, measure, lam))
     value = np.where((lo - _RANGE_SLACK <= value) & (value < lo), lo, value)
     return np.where((hi < value) & (value <= hi + _RANGE_SLACK), hi, value)
+
+
+def _value(w1: np.ndarray, w2: np.ndarray, measure: str, lam: float | None) -> np.ndarray:
+    return _clamp(_mean(w1, w2, measure, lam)[-1], measure)
 
 
 def _scalar(value: np.ndarray, measure: str) -> float:

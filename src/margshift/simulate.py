@@ -128,14 +128,15 @@ def coverage_study(spec: CoverageStudySpec) -> CoverageResult:
 
     hits = 0
     degenerate = 0
-    widths = []
+    # a running total in replicate order, equal to summing the widths one by one
+    total_width = 0.0
     for counts in _resample(truth.p, spec.n, spec.replicates, spec.seed):
         estimate, se, _, terms = _delta(counts, "phi", None)
         ok = ~_refused(terms, "phi")  # includes every NaN estimate
         lower, upper = _wald_bounds(estimate[ok], se[ok], spec.level)
         degenerate += int(np.count_nonzero(~ok))
         hits += int(np.count_nonzero((lower <= true_value) & (true_value <= upper)))
-        widths.append(upper - lower)
+        total_width = np.cumsum(np.append(total_width, upper - lower))[-1]
 
     effective = spec.replicates - degenerate
     if effective == 0:
@@ -152,8 +153,7 @@ def coverage_study(spec: CoverageStudySpec) -> CoverageResult:
         seed=spec.seed,
         true_value=true_value,
         coverage=coverage,
-        # a running total in replicate order, equal to summing the intervals one by one
-        mean_width=float(np.cumsum(np.concatenate(widths))[-1]) / effective,
+        mean_width=float(total_width) / effective,
         degenerate_count=degenerate,
         mcse=math.sqrt(coverage * (1.0 - coverage) / effective),
     )

@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 import margshift.inference as inference
+import margshift.measures as measures
+import margshift.simulate as simulate
 from margshift import (
     CountTable,
     CoverageStudySpec,
@@ -41,7 +43,7 @@ from margshift import (
     wald_ci,
     z_quantile,
 )
-from margshift.measures import _check_discordance, _raw, _scores, _table_terms, _terms
+from margshift.measures import _check_discordance, _mean, _table_terms, _terms
 from margshift.tables import _check_hazards, _check_marginals, _check_probs, _tail_sums
 from conftest import ACTIVE_COUNTS
 
@@ -179,7 +181,7 @@ def ref_grad_fd_cells(p, h, measure, lam):
     step = h * np.eye(r * r)  # row k steps cell k
     stack = np.stack((p + step, p - step)).reshape(2, r * r, r, r)
     t = _terms(stack.sum(axis=-1), stack.sum(axis=-2))
-    plus, minus = _raw(t.w1, t.w2, _scores(t.w1, t.w2, measure, lam))
+    plus, minus = _mean(t.w1, t.w2, measure, lam)[-1]
     return (plus - minus) / (2.0 * h)
 
 
@@ -372,6 +374,21 @@ def test_gradient_matches_the_frozen_chain_rule(measure, lam):
         assert np.max(np.abs(actual - expected)) <= MAX_ULPS * np.spacing(scale), (r, k)
 
 
+@pytest.mark.parametrize("measure, lam", [("phi", None), ("psi", 1.0)])
+def test_the_delta_method_scores_a_stack_once(monkeypatch, measure, lam):
+    # the estimate and the gradient share one mean V, and so one pass of scores
+    scores, calls = measures._scores, []
+
+    def counted(*args):
+        calls.append(args)
+        return scores(*args)
+
+    monkeypatch.setattr(measures, "_scores", counted)
+    monkeypatch.setattr(inference, "_scores", counted, raising=False)
+    inference._delta(np.array([ACTIVE_COUNTS, ACTIVE_COUNTS]), measure, lam)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # the kernel's derived values
 # ---------------------------------------------------------------------------
@@ -510,6 +527,31 @@ def test_margin_steps_match_the_cell_stepped_reference(measure, lam):
     assert compared >= 100
 
 
+# grad_phi on the second "near the count limit" table at r = 47, whose last row
+# and column margins are 5.3e-18 beside 0.0217: (cell, dphi/dp at that cell).
+# Each value is the exact derivative at the table's float64 cells, evaluated
+# with mpmath at 80 digits (120 agree): the margins summed exactly, the W chain
+# of the measures module docstring, and mpmath.diff in each margin entry, a cell
+# taking its row's derivative plus its column's.  The entries are the largest
+# ones, all in the last row or column.
+NEAR_LIMIT_GRADIENT = [
+    ((0, 46), 17.24299085410467044636893),
+    ((46, 0), -17.24299085410467320472278),
+    ((45, 46), 10.48399839655760765611401),
+    ((46, 45), -10.48399839655763398134694),
+]
+
+
+def test_the_analytic_gradient_holds_where_a_margin_is_lost_to_rounding():
+    # 1 - omega cancels at the last index, so no finite-difference step resolves
+    # it (grad_fd is off by more than the gradient's largest entry there); the
+    # chain rule, which wald_ci uses, is within 4.1e-16 of the scale
+    table = kernel_stacks("near the count limit")[KERNEL_SIZES.index(47)][1]
+    grad = grad_phi(from_counts(CountTable(table)).p.ravel()).reshape(47, 47)
+    for cell, exact in NEAR_LIMIT_GRADIENT:
+        assert abs(grad[cell] - exact) <= 1e-14 * 17.24, cell
+
+
 def test_a_vanishing_exhausted_table_is_refused_as_undefined_by_every_route():
     table = CountTable(VANISHING_AND_EXHAUSTED[0])
     p = from_counts(table).p.ravel()
@@ -577,6 +619,47 @@ def test_bootstrap_memory_is_bounded_by_the_chunk():
     table = CountTable(np.random.default_rng(100).integers(1, 6, size=(r, r)))
     peak = traced_peak_mb(bootstrap_ci, table, replicates=200, seed=0)
     assert peak < 8.0
+
+
+def one_repeated_chunk(p, n, replicates, seed):
+    """A sampler yielding one fixed chunk of 1024 draws until ``replicates`` are
+    made: what the replicate loops hold beyond the chunk is then all that grows."""
+    chunk = np.random.default_rng(seed).multinomial(n, p.ravel(), size=1024)
+    for _ in range(replicates // 1024):
+        yield chunk.reshape(-1, *p.shape)
+
+
+def growth_per_replicate(monkeypatch, fn, make_args):
+    """Extra traced peak bytes per extra replicate, in float64s, from 10 to 200 chunks."""
+    monkeypatch.setattr(inference, "_resample", one_repeated_chunk)
+    monkeypatch.setattr(simulate, "_resample", one_repeated_chunk)
+    small, large = 10 * 1024, 200 * 1024
+    grown = traced_peak_mb(fn, *make_args(large)) - traced_peak_mb(fn, *make_args(small))
+    return grown * 2**20 / 8 / (large - small)
+
+
+def test_coverage_memory_does_not_grow_with_the_replicate_count(monkeypatch):
+    # a loop that holds every interval width until the end grows the peak by
+    # 2.5 float64 per replicate (3.7 MB from 10 240 to 204 800 replicates); a
+    # running total holds none
+    scenario = McorScenario(base_haz_x=np.array([0.3, 0.4, 0.5]), delta=0.5)
+
+    def args(replicates):
+        return (CoverageStudySpec(scenario=scenario, n=500, replicates=replicates, seed=0),)
+
+    assert growth_per_replicate(monkeypatch, coverage_study, args) <= 0.5
+
+
+def test_bootstrap_keeps_one_float_per_replicate(monkeypatch):
+    # the replicate values, plus np.std's temporary of the kept ones; a chunk
+    # list with its concatenation, a NaN-filtered and a sorted copy grow the
+    # peak by 3.9 float64 per replicate (5.9 MB from 10 240 to 204 800 replicates)
+    table = CountTable(ACTIVE_COUNTS)
+
+    def args(replicates):
+        return table, 0.95, replicates, 0
+
+    assert growth_per_replicate(monkeypatch, bootstrap_ci, args) <= 2.5
 
 
 def test_bootstrap_seed_memory_is_bounded_by_the_block():
