@@ -58,7 +58,7 @@ from .errors import (
     TooManyDegenerateReplicatesError,
     ZeroTotalError,
 )
-from .inference import EstimateReport, _plugin_estimate, bootstrap_ci, compare_groups, wald_ci
+from .inference import EstimateReport, bootstrap_ci, compare_groups, wald_ci
 from .mcor import McorScenario, curve_grid
 from .simulate import CoverageStudySpec, coverage_study
 from .tables import _MAX_COUNT, CountTable
@@ -262,7 +262,7 @@ def _delta_report(label, table, level, measure, lam) -> EstimateReport:
     try:
         return wald_ci(table, level, measure, lam)
     except NonDifferentiableError as exc:
-        raise _Refused(f"{label}{measure} = {_plugin_estimate(table, measure, lam):.6f}",
+        raise _Refused(f"{label}{measure} = {exc.estimate:.6f}",
                        f"delta-method confidence interval refused: {exc}") from exc
     except DegenerateMassError as exc:
         raise DegenerateMassError(f"{label}{exc}") from exc
@@ -286,7 +286,8 @@ def cmd_estimate(args, inputs) -> tuple:
         seed = args.seed
         rep = bootstrap_ci(table, args.level, args.replicates, args.seed, measure, lam)
 
-    name = measure if lam is None else f"psi(lambda={lam:g})"
+    shown = f"{lam:g}" if lam is not None and float(f"{lam:g}") == lam else repr(lam)
+    name = measure if lam is None else f"psi(lambda={shown})"
     lines = [
         f"table: {args.table}  (r={table.r}, n={table.n})",
         f"measure: {name}",

@@ -43,7 +43,8 @@ class DegenerateMassError(MargshiftError):
 
 
 class NonDifferentiableError(MargshiftError):
-    """The measure is not differentiable at the given table."""
+    """The measure is not differentiable at the given table; ``estimate`` is the
+    plug-in estimate (a float) when ``wald_ci`` refuses it, ``None`` from a gradient route."""
 
 
 class MethodMismatchError(MargshiftError):

@@ -199,11 +199,13 @@ def _refused(terms, measure: str) -> np.ndarray:
     return bad
 
 
-def _refuse(terms, measure: str) -> None:
-    """Raise the first refusal that applies to one table, if any."""
+def _refuse(terms, measure: str, estimate: float | None = None) -> None:
+    """Raise the first refusal that applies to one table, if any, carrying ``estimate``."""
     for error, message, condition, reduce in _refusals(terms, measure):
         if reduce(condition):
-            raise error(message.format(i=int(np.argmax(condition)) + 1))
+            exc = error(message.format(i=int(np.argmax(condition)) + 1))
+            exc.estimate = estimate
+            raise exc
 
 
 def _grad(terms, measure: str, lam: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -326,11 +328,6 @@ def grad_fd(
     v = _mean(t.w1, t.w2, measure, lam)[-1].reshape(2, 2, r)  # margin, sign, k
     g_row, g_col = (v[:, 0] - v[:, 1]) / (2.0 * h)
     return (g_row[:, None] + g_col[None, :]).ravel()
-
-
-def _plugin_estimate(table: CountTable, measure: str, lam: float | None) -> float:
-    _, _, terms = _table_terms(table.counts)
-    return _scalar(_value(terms.w1, terms.w2, measure, lam), measure)
 
 
 def _chunks(count: int, r: int):
@@ -488,7 +485,7 @@ def wald_ci(
     measure, lam = _check_measure(measure, lam)
 
     estimate, se, grad, terms = _delta(table.counts, measure, lam)
-    _refuse(terms, measure)
+    _refuse(terms, measure, float(estimate))
     return EstimateReport(
         measure=measure,
         lam=lam,
@@ -509,22 +506,22 @@ def bootstrap_ci(
 ) -> EstimateReport:
     """Nonparametric multinomial bootstrap percentile interval.
 
-    Replicates are multinomial redraws of size n from the observed cell
-    frequencies.  Replicates where the measure is degenerate are counted
-    and excluded; more than 1% of them aborts with
-    :class:`TooManyDegenerateReplicatesError` rather than quietly reporting
-    a biased interval.  The endpoints are the alpha/2 and 1 - alpha/2
-    percentiles of the sorted kept replicates by numpy's 'linear' rule:
-    with v = (m - 1) q over m kept values, the values at floor(v) and
+    Replicates are multinomial redraws of size n from the observed cell frequencies.
+    Replicates where the measure is degenerate are counted and excluded.  The endpoints
+    are the alpha/2 and 1 - alpha/2 percentiles of the sorted kept replicates by numpy's
+    'linear' rule: with v = (m - 1) q over m kept values, the values at floor(v) and
     floor(v) + 1 interpolated at the fraction of v (see :func:`_percentile`).
 
-    Deterministic for a fixed seed: replicate k draws from the generator
-    ``default_rng`` builds from the k-th child spawned by
-    ``SeedSequence(seed)`` (the stream of :func:`_resample`), and aggregation
-    (counts plus sorted percentile extraction) does not depend on evaluation
-    order.  Replicates are drawn and evaluated in chunks of at most 2^16
-    cells and at most 1024 tables (see :func:`_chunks`); beyond the chunk,
-    the bootstrap keeps one float64 per replicate, the values it sorts.
+    Deterministic for a fixed seed: replicate k draws from the generator ``default_rng``
+    builds from the k-th child spawned by ``SeedSequence(seed)`` (the stream of
+    :func:`_resample`), and aggregation (counts plus sorted percentile extraction) does not
+    depend on evaluation order.  Replicates are drawn and evaluated in :func:`_chunks`;
+    beyond the chunk, the bootstrap keeps one float64 per replicate, the values it sorts.
+
+    Raises
+    ------
+    DegenerateMassError, TooManyDegenerateReplicatesError
+        The undefined measure first, before any draw; then over 1% degenerate replicates.
     """
     if not isinstance(table, CountTable):
         table = CountTable(table)
@@ -532,6 +529,7 @@ def bootstrap_ci(
     measure, lam = _check_measure(measure, lam)
     replicates = _integer(replicates, "replicates", 200, _MAX_REPLICATES)
     seed = _integer(seed, "seed", 0)
+    estimate = _scalar(_delta(table.counts, measure, lam)[0], measure)  # refused before any draw
 
     values, done = np.empty(replicates), 0
     for counts in _resample(from_counts(table).p, table.n, replicates, seed):
@@ -557,7 +555,7 @@ def bootstrap_ci(
     if degenerate:
         flags = (f"{degenerate} of {replicates} bootstrap replicates degenerate (excluded)",)
     ci = ConfInterval(
-        estimate=_plugin_estimate(table, measure, lam),
+        estimate=estimate,
         se=se,
         lower=lower,
         upper=upper,

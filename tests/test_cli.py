@@ -17,7 +17,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from margshift import CountTable, TableParseError, cli, wald_ci
+from margshift import CountTable, TableParseError, cli, inference, wald_ci
 from margshift.cli import main, parse_table_csv
 from conftest import ACTIVE_COUNTS, PLACEBO_COUNTS
 
@@ -330,6 +330,28 @@ class TestEstimate:
         assert main(["estimate", str(path), "--measure", measure]) == 2
         err = capsys.readouterr().err
         assert f"refused: the estimate sits at the boundary {edge}" in err
+
+    def test_refused_table_is_evaluated_once(self, tmp_path, capsys, monkeypatch):
+        # the refusal's line shows the estimate wald_ci evaluated, not a second one
+        table_terms, calls = inference._table_terms, Counter()
+
+        def counted(counts):
+            calls["_table_terms"] += 1
+            return table_terms(counts)
+
+        monkeypatch.setattr(inference, "_table_terms", counted)
+        path = write_counts(tmp_path / "left.csv", [[5, 0], [3, 0]])
+        assert main(["estimate", path]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == "phi = -1.000000"
+        assert calls["_table_terms"] == 1
+
+    def test_psi_label_names_the_lambda_used(self, active_csv, capsys):
+        # six significant digits where they read back as lambda, every digit otherwise
+        for measure, label in (("psi:1", "psi(lambda=1)"),
+                               ("psi:0.1234567", "psi(lambda=0.1234567)"),
+                               ("psi:-0.9999999", "psi(lambda=-0.9999999)")):
+            assert main(["estimate", active_csv, "--measure", measure]) == 0
+            assert f"measure: {label}\n" in capsys.readouterr().out
 
     def test_degenerate_table_exits_two(self, tmp_path, capsys):
         path = write_counts(tmp_path / "pm.csv", [[9, 0], [0, 0]])

@@ -21,7 +21,6 @@ from margshift import (
     MethodMismatchError,
     NonDifferentiableError,
     ShapeError,
-    TooManyDegenerateReplicatesError,
     bootstrap_ci,
     compare_groups,
     from_counts,
@@ -273,6 +272,15 @@ class TestWaldCI:
         with pytest.raises(NonDifferentiableError):
             wald_ci(CountTable([[0, 0, 0], [0, 0, 0], [40, 60, 0]]))
 
+    def test_refusal_carries_the_plug_in_estimate(self):
+        # the one estimate wald_ci evaluated; a gradient route has none to carry
+        with pytest.raises(NonDifferentiableError) as refused:
+            wald_ci([[5, 0], [3, 0]])
+        assert refused.value.estimate == -1.0
+        with pytest.raises(NonDifferentiableError) as refused:
+            grad_phi(np.array([5, 0, 3, 0]) / 8)
+        assert refused.value.estimate is None
+
     def test_se_scales_with_root_n(self, active_table):
         rep1 = wald_ci(active_table)
         rep2 = wald_ci(CountTable(active_table.counts * 2))
@@ -389,8 +397,13 @@ class TestBootstrapCI:
         with pytest.raises(DomainError):
             bootstrap_ci(active_table, replicates=199, seed=0)
 
-    def test_point_mass_table_aborts(self):
-        with pytest.raises(TooManyDegenerateReplicatesError):
+    def test_point_mass_table_aborts(self, monkeypatch):
+        # phi is undefined: refused for wald_ci's first reason, before any draw
+        def no_draw(*args):
+            raise AssertionError("the bootstrap drew replicates of an undefined table")
+
+        monkeypatch.setattr(inference, "_resample", no_draw)
+        with pytest.raises(DegenerateMassError, match="phi is undefined"):
             bootstrap_ci(CountTable([[50, 0], [0, 0]]), replicates=300, seed=0)
 
     def test_needs_neither_numpy_ma_nor_statistics(self):
