@@ -11,19 +11,19 @@ is diag(p) - p p^T, the quadratic form never needs the r^2 x r^2 matrix:
 
     grad^T xi grad = p.g^2 - (p.g)^2 = p.(g - p.g)^2,      g = grad,
 
-an O(r^2) sum, evaluated in the centered form, which is nonnegative and
-free of cancellation.
+an O(r^2) sum, taken in the centered form: nonnegative, free of cancellation.
 
 Two gradient routes are kept permanently: the analytic chain rule
 (:func:`grad_phi`) and central finite differences (:func:`grad_fd`), so either
 can audit the other.  The analytic one (:func:`_grad`) is one chain rule for
 both measures V = sum_i u_i s(x_i), u_i = t_i / T, t_i = W1_i + W2_i,
 T = sum_j t_j; :mod:`margshift.measures` supplies the scores s of the W1 share
-x_i = W1_i / t_i and their slopes s'.  Both routes use that the measures are
-homogeneous of degree 0 in the cells when survivals are written as tail sums:
-coordinates can be perturbed without renormalizing onto the simplex, and
-adding a multiple of the all-ones vector to a gradient never changes the
-quadratic form (xi annihilates constants).
+x_i = W1_i / t_i and their slopes s'.  It runs over the 2r margin entries, all a
+measure reads; :func:`_cells` widens it where a cell quantity is needed.  Both
+routes use that the measures are homogeneous of degree 0 in the cells when
+survivals are written as tail sums: coordinates can be perturbed without
+renormalizing onto the simplex, and adding a multiple of the all-ones vector
+to a gradient never changes the quadratic form (xi annihilates constants).
 
 A nonparametric multinomial bootstrap (:func:`bootstrap_ci`) provides an
 independent percentile interval for cross-checking the delta method.
@@ -46,6 +46,7 @@ from .errors import (
 )
 from .measures import (
     _RANGE,
+    _UNDEFINED,
     _check_lambda,
     _clamp,
     _mean,
@@ -173,8 +174,7 @@ def _refusals(terms, measure: str):
                 "the delta-method interval is undefined there")
     nondiff = NonDifferentiableError
     checks = [
-        (DegenerateMassError, f"all discordance terms vanish; {measure} is undefined",
-         vanish, np.all),
+        (DegenerateMassError, _UNDEFINED.format(measure), vanish, np.all),
         (nondiff, "row survival is exhausted at index {i}; the hazard there is a 0/0",
          terms.exhausted_x, np.any),
         (nondiff, "column survival is exhausted at index {i}; the hazard there is a 0/0",
@@ -208,37 +208,37 @@ def _refuse(terms, measure: str, estimate: float | None = None) -> None:
             raise exc
 
 
-def _grad(terms, measure: str, lam: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Value, clamped, and gradient over the cells (..., r^2) where not :func:`_refused`
+def _grad(terms, measure: str, lam: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, clamped, and gradient (g_row, g_col) over the 2r margins where not :func:`_refused`
     of either measure V = sum_i u_i s(x_i) (module docstring), from one :func:`_mean`:
 
         dV/dW1_i = (s_i - V) / T + s'(x_i) W2_i / (T t_i)
         dV/dW2_i = (s_i - V) / T - s'(x_i) W1_i / (T t_i)
     """
-    w1, w2 = terms.w1, terms.w2
+    w1, w2, omega_x, omega_y = terms.w1, terms.w2, terms.omega_x, terms.omega_y
     with np.errstate(divide="ignore", invalid="ignore"):
         t, total, scores, value = _mean(w1, w2, measure, lam)
         centered = (scores - value[..., None]) / total
         slope = _slope(w1 / t, measure, lam)
         g_w1 = centered + slope * w2 / (total * t)
         g_w2 = centered - slope * w1 / (total * t)
-        return _clamp(value, measure), _chain_to_cells(terms, g_w1, g_w2)
+        g_ox = g_w1 * (1.0 - omega_y) - g_w2 * omega_y
+        g_oy = -g_w1 * omega_x + g_w2 * (1.0 - omega_x)
+        return (_clamp(value, measure), _to_margin(g_ox, omega_x, terms.surv_x),
+                _to_margin(g_oy, omega_y, terms.surv_y))
 
 
-def _chain_to_cells(terms, g_w1: np.ndarray, g_w2: np.ndarray) -> np.ndarray:
-    """Push gradients on (W1, W2) down to the r^2 cells."""
-    omega_x, omega_y = terms.omega_x, terms.omega_y
-    g_ox = g_w1 * (1.0 - omega_y) - g_w2 * omega_y
-    g_oy = -g_w1 * omega_x + g_w2 * (1.0 - omega_x)
+def _to_margin(g_omega: np.ndarray, omega: np.ndarray, surv: np.ndarray) -> np.ndarray:
+    """Push a gradient on the hazards omega down to the margin m behind them."""
+    # d omega_i / d m_k = delta_ik / s_i - (omega_i / s_i) [k >= i], s the survivals
+    s = surv[..., :-1]
+    running = np.cumsum(g_omega * omega / s, axis=-1)
+    return np.concatenate((g_omega / s - running, 0.0 - running[..., -1:]), axis=-1)
 
-    def to_marginal(g_omega: np.ndarray, omega: np.ndarray, surv: np.ndarray) -> np.ndarray:
-        # d omega_i / d m_k = delta_ik / s_i - (omega_i / s_i) [k >= i]
-        s = surv[..., :-1]
-        running = np.cumsum(g_omega * omega / s, axis=-1)
-        return np.concatenate((g_omega / s - running, 0.0 - running[..., -1:]), axis=-1)
 
-    g_row = to_marginal(g_ox, omega_x, terms.surv_x)
-    g_col = to_marginal(g_oy, omega_y, terms.surv_y)
+def _cells(g_row: np.ndarray, g_col: np.ndarray) -> np.ndarray:
+    """Flat row-major cell gradient: cell (i, j) gets row i's slope plus column j's."""
+    # the one place that knows the cell layout; every cell quantity is widened here
     r = g_row.shape[-1]
     return (g_row[..., :, None] + g_col[..., None, :]).reshape(*g_row.shape[:-1], r * r)
 
@@ -264,7 +264,7 @@ def _checked_grad(p: np.ndarray, measure: str, lam: float | None) -> np.ndarray:
     cells = _prob_cells(p)
     terms = _terms(cells.sum(axis=-1), cells.sum(axis=-2))
     _refuse(terms, measure)
-    return _grad(terms, measure, lam)[1]
+    return _cells(*_grad(terms, measure, lam)[1:])
 
 
 def grad_phi(p: np.ndarray) -> np.ndarray:
@@ -291,8 +291,8 @@ def grad_fd(
     """Central-finite-difference gradient of phi (or psi), the audit route.
 
     Steps each of the 2r margin entries, all that a measure reads, by +-h off
-    the simplex (degree-0 homogeneity makes that legitimate), in one O(r^2)
-    call; cell (i, j) gets row i's slope plus column j's, as in :func:`grad_phi`.
+    the simplex (degree-0 homogeneity makes that legitimate), in one O(r^2) call;
+    :func:`_cells` gives cell (i, j) row i's slope plus column j's, as in :func:`grad_phi`.
 
     Parameters
     ----------
@@ -326,8 +326,7 @@ def grad_fd(
     t = _terms(np.concatenate((row + step, row - step, np.tile(row, (2 * r, 1)))),
                np.concatenate((np.tile(col, (2 * r, 1)), col + step, col - step)))
     v = _mean(t.w1, t.w2, measure, lam)[-1].reshape(2, 2, r)  # margin, sign, k
-    g_row, g_col = (v[:, 0] - v[:, 1]) / (2.0 * h)
-    return (g_row[:, None] + g_col[None, :]).ravel()
+    return _cells(*((v[:, 0] - v[:, 1]) / (2.0 * h)))
 
 
 def _chunks(count: int, r: int):
@@ -421,7 +420,8 @@ def _delta(counts: np.ndarray, measure: str, lam: float | None):
     """Estimate, delta-method se, gradient and W terms of count tables (..., r, r);
     se is meaningless where :func:`_refused` holds."""
     p, totals, terms = _table_terms(counts)
-    estimate, grad = _grad(terms, measure, lam)
+    estimate, g_row, g_col = _grad(terms, measure, lam)
+    grad = _cells(g_row, g_col)
     with np.errstate(all="ignore"):  # refused tables carry inf/NaN
         se = np.sqrt(_variance(p.reshape(grad.shape), grad) / totals[..., 0, 0])
     return estimate, se, grad, terms

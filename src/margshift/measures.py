@@ -224,6 +224,9 @@ def _mean(w1: np.ndarray, w2: np.ndarray, measure: str, lam: float | None):
         return t, total, scores, np.sum(t / total * scores, axis=-1)
 
 
+# what a refusal says of a measure whose discordance terms all vanish
+_UNDEFINED = "all discordance terms vanish; {} is undefined"
+
 # logical range of each measure
 _RANGE = {"phi": (-1.0, 1.0), "psi": (0.0, 1.0)}
 
@@ -242,7 +245,7 @@ def _value(w1: np.ndarray, w2: np.ndarray, measure: str, lam: float | None) -> n
 def _scalar(value: np.ndarray, measure: str) -> float:
     """One table's measure value, raising where it is undefined."""
     if np.isnan(value):
-        raise DegenerateMassError(f"all discordance terms vanish; {measure} is undefined")
+        raise DegenerateMassError(_UNDEFINED.format(measure))
     return float(value)
 
 

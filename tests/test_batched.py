@@ -527,6 +527,24 @@ def test_margin_steps_match_the_cell_stepped_reference(measure, lam):
     assert compared >= 100
 
 
+@pytest.mark.parametrize("measure, lam", [("phi", None), ("psi", 1.0), ("psi", 0.0)])
+def test_the_margin_gradient_obeys_euler_on_the_margins(measure, lam):
+    # phi and psi are homogeneous of degree 0 in the margins they read, so
+    # Euler's identity row.g_row + col.g_col = 0 holds wherever they are differentiable
+    checked = 0
+    for kind in KERNEL_KINDS:
+        for counts in kernel_stacks(kind):
+            p, _, terms = _table_terms(counts)
+            row, col = p.sum(axis=-1), p.sum(axis=-2)
+            _, g_row, g_col = inference._grad(terms, measure, lam)
+            for k in np.flatnonzero(~inference._refused(terms, measure)):
+                euler = row[k] @ g_row[k] + col[k] @ g_col[k]
+                scale = max(np.max(np.abs(g_row[k])), np.max(np.abs(g_col[k])), 1.0)
+                assert abs(euler) <= 16 * np.finfo(float).eps * scale, (kind, counts.shape, k)
+                checked += 1
+    assert checked >= 100
+
+
 # grad_phi on the second "near the count limit" table at r = 47, whose last row
 # and column margins are 5.3e-18 beside 0.0217: (cell, dphi/dp at that cell).
 # Each value is the exact derivative at the table's float64 cells, evaluated
