@@ -79,10 +79,10 @@ _ZERO_SE_FLAG = "delta-method se is 0: the interval has zero width"
 
 # Replicate loops draw and evaluate their tables in chunks of at most this
 # many cells and at most _SEED_BLOCK tables (but at least one table), which
-# bounds their working memory, the chunk's seed words included.  A chunk costs
-# some sixty numpy calls and one seed derivation whatever its size; at 2^16
-# cells an r = 60 chunk holds 18 tables, so that cost is small next to the
-# chunk's draws.
+# bounds their working memory, the chunk's seed words included.  A chunk's
+# kernel numpy calls and its one seed derivation cost the same whatever its
+# size; at 2^16 cells an r = 60 chunk holds 18 tables, so that cost is small
+# next to the chunk's draws.
 _CHUNK_CELLS = 1 << 16
 _SEED_BLOCK = 1024
 

@@ -45,7 +45,6 @@ import numpy as np
 from .errors import DegenerateMassError, DomainError
 from .tables import (
     HazardPair,
-    _check_counts,
     _freeze_fields,
     _hazard,
     _real,
@@ -167,14 +166,13 @@ def _terms(row: np.ndarray, col: np.ndarray) -> _Terms:
 def _table_terms(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Terms]:
     """Cell probabilities, totals (..., 1, 1) and W chain of count tables (..., r, r).
 
-    Only the counts, all that a caller supplies, are checked; the rest is valid
-    by construction.  p = counts / total is finite, nonnegative and sums to 1
-    within a few ulps before it is renormalized as a ProbTable is.  The tail
-    sum s_i = fl(s_{i+1} + m_i) >= m_i keeps each hazard m_i / s_i in [0, 1],
-    and an exhausted s_i = 0 gets hazard 0.  W1 and W2 are products of values
-    in [0, 1].  tests/test_batched.py runs every record check on the output.
+    Unchecked: callers pass a CountTable's counts (wald_ci, bootstrap_ci) or
+    Generator.multinomial draws (bootstrap_ci, coverage_study), valid by
+    construction.  p = counts / total sums to 1 within a few ulps before it is
+    renormalized as a ProbTable is; the tail sums keep each hazard in [0, 1].
+    tests/test_batched.py runs every record check on the output.
     """
-    counts, totals = _check_counts(counts)
+    totals = counts.sum(axis=(-2, -1), keepdims=True)
     p = counts / totals
     p /= _table_mass(p)  # in place: one cell-sized array fewer
     return p, totals, _terms(p.sum(axis=-1), p.sum(axis=-2))

@@ -118,14 +118,14 @@ def _tail_sums(v: np.ndarray) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(v, -1), -1), -1)
 
 
-# The invariant checks below take any leading batch shape.  Only
-# _check_counts is run on stacks (by measures._table_terms): every later value
-# of the chain is derived from valid counts, and the records check the rest.
+# _check_counts checks one r x r table, where it enters as a CountTable: the
+# kernel (measures._table_terms) takes only a CountTable's counts and
+# multinomial draws, both valid by construction.  The later checks take any
+# leading batch shape, so that tests can run them on the kernel's stacks.
 
 
-def _check_counts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CountTable value invariants over (..., r, r); returns the counts as int64,
-    not copied when they already are, and each table's total, shaped (..., 1, 1)."""
+def _check_counts(arr: np.ndarray) -> np.ndarray:
+    """CountTable value invariants of an r x r array; returns it as int64, copied only if not."""
     if np.issubdtype(arr.dtype, np.floating):
         if not np.all(np.isfinite(arr)) or np.any(arr != np.floor(arr)):
             raise DomainError("counts must be integers")
@@ -133,21 +133,18 @@ def _check_counts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"counts must be integers, got dtype {arr.dtype}")
     if np.any(arr < 0):
         raise DomainError("counts must be nonnegative")
-    # refused before the cast and the sums, which would wrap silently
+    # refused before the cast and the sum, which would wrap silently
     top = int(arr.max())
     if top > _MAX_COUNT:
         raise DomainError(f"counts must not exceed 2^63 - 1, got {top}")
     arr = arr.astype(np.int64, copy=False)
-    if top * arr.shape[-1] * arr.shape[-2] > _MAX_COUNT:  # a total may overflow
-        totals = arr.astype(object).sum(axis=(-2, -1))
-        if np.any(totals > _MAX_COUNT):
-            raise DomainError(
-                f"count table totals must not exceed 2^63 - 1, got {max(np.ravel(totals))}"
-            )
-    totals = arr.sum(axis=(-2, -1), keepdims=True)
-    if np.any(totals == 0):
+    if top * arr.size > _MAX_COUNT:  # the total may overflow: sum it exactly
+        total = int(arr.astype(object).sum())
+        if total > _MAX_COUNT:
+            raise DomainError(f"count table totals must not exceed 2^63 - 1, got {total}")
+    if top == 0:
         raise ZeroTotalError("count table sums to zero")
-    return arr, totals
+    return arr
 
 
 def _python_ints(arr: np.ndarray) -> bool:
@@ -225,7 +222,7 @@ class CountTable:
 
     def __post_init__(self) -> None:
         arr = _square(np.array(self.counts), "counts")  # a copy: never frozen or shared
-        object.__setattr__(self, "counts", _frozen(_check_counts(arr)[0]))
+        object.__setattr__(self, "counts", _frozen(_check_counts(arr)))
 
     @property
     def r(self) -> int:

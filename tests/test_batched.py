@@ -22,6 +22,7 @@ import pytest
 import margshift.inference as inference
 import margshift.measures as measures
 import margshift.simulate as simulate
+import margshift.tables as tables
 from margshift import (
     CountTable,
     CoverageStudySpec,
@@ -389,12 +390,38 @@ def test_the_delta_method_scores_a_stack_once(monkeypatch, measure, lam):
     assert len(calls) == 1
 
 
+def test_the_kernel_is_reached_only_through_the_gate(monkeypatch):
+    # a table's counts are checked once, as a CountTable; the kernel trusts
+    # them and the multinomial draws, so no route checks counts again
+    table = CountTable(ACTIVE_COUNTS)
+    spec = CoverageStudySpec(
+        scenario=McorScenario(base_haz_x=np.array([0.3, 0.4, 0.5]), delta=1.0),
+        n=500, replicates=2000, seed=0,
+    )
+    routes = {
+        "wald_ci": lambda: wald_ci(table),
+        "bootstrap_ci": lambda: bootstrap_ci(table, replicates=10000, seed=7),
+        "coverage_study": lambda: coverage_study(spec),
+    }
+    check, calls = tables._check_counts, dict.fromkeys(routes, 0)
+
+    def counted(arr):
+        calls[route] += 1
+        return check(arr)
+
+    monkeypatch.setattr(tables, "_check_counts", counted)
+    monkeypatch.setattr(measures, "_check_counts", counted, raising=False)
+    for route, run in routes.items():
+        run()
+    assert calls == dict.fromkeys(routes, 0)
+
+
 # ---------------------------------------------------------------------------
 # the kernel's derived values
 # ---------------------------------------------------------------------------
 
-# _table_terms checks only the counts; on these stacks everything it derives
-# from them passes the record checks it does not run, and equals the public chain
+# _table_terms checks nothing; on these stacks of valid counts everything it
+# derives passes the record checks it does not run, and equals the public chain
 KERNEL_KINDS = ["random", "sparse", "exhausted", "single cell", "near the count limit",
                 "homogeneous"]
 KERNEL_SIZES = (2, 3, 5, 12, 47, 200)

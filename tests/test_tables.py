@@ -13,11 +13,18 @@ from margshift import (
     ProbTable,
     ShapeError,
     ZeroTotalError,
+    bootstrap_ci,
     from_counts,
     hazards,
     marginals,
+    wald_ci,
 )
 from conftest import ACTIVE_COUNTS, LEFT_EXTREME
+
+
+# raw counts reach the estimators' kernel only through the CountTable that
+# wald_ci and bootstrap_ci wrap them in, so each entry refuses them alike
+ENTRIES = (CountTable, wald_ci, lambda c: bootstrap_ci(c, replicates=200))
 
 
 class TestCountTable:
@@ -34,16 +41,19 @@ class TestCountTable:
             CountTable([[5]])
 
     def test_rejects_all_zero(self):
-        with pytest.raises(ZeroTotalError):
-            CountTable([[0, 0], [0, 0]])
+        for enter in ENTRIES:
+            with pytest.raises(ZeroTotalError, match="count table sums to zero"):
+                enter([[0, 0], [0, 0]])
 
     def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            CountTable([[1, -1], [0, 3]])
+        for enter in ENTRIES:
+            with pytest.raises(DomainError, match="counts must be nonnegative"):
+                enter([[1, -1], [0, 3]])
 
     def test_rejects_fractional(self):
-        with pytest.raises(DomainError):
-            CountTable([[1.5, 0.5], [1.0, 1.0]])
+        for enter in ENTRIES:
+            with pytest.raises(DomainError, match="counts must be integers"):
+                enter([[1.5, 0.5], [1.0, 1.0]])
 
     @pytest.mark.parametrize(
         "counts, message",
@@ -57,8 +67,9 @@ class TestCountTable:
         ],
     )
     def test_rejects_counts_and_totals_beyond_int64(self, counts, message):
-        with pytest.raises(DomainError, match=message):
-            CountTable(counts)
+        for enter in ENTRIES:
+            with pytest.raises(DomainError, match=message):
+                enter(counts)
 
     @pytest.mark.parametrize("top", [2**64, 2**70])
     def test_rejects_python_ints_beyond_every_integer_dtype(self, top):
@@ -91,6 +102,8 @@ class TestCountTable:
     def test_accepts_integral_floats(self):
         t = CountTable(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert t.n == 10
+        # cast to int64 before the exact total: the float sum rounds up to 2^63
+        assert CountTable(np.array([[2.0**63 - 1024, 1000.0], [0.0, 0.0]])).n == 2**63 - 24
 
     def test_immutable(self, active_table):
         with pytest.raises(ValueError):
