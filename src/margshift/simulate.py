@@ -120,7 +120,9 @@ def coverage_study(spec: CoverageStudySpec) -> CoverageResult:
     bootstrap's sampler (``inference._resample``, which states the stream:
     one spawned generator per replicate) in chunks of at most 2^16 cells and
     at most 1024 tables, so the working memory is set by the chunk, not by
-    the replicate count.
+    the replicate count.  Tables of 900 cells or more have a chunk's rows drawn
+    on up to one thread per CPU, each from its own generator into its own place,
+    so the result cannot depend on the CPU count.
     """
     spec = _record(spec, CoverageStudySpec, "spec")
     truth = scenario_table(spec.scenario)

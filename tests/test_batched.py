@@ -13,6 +13,7 @@ reproduces without building those generators.
 """
 
 import math
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -737,15 +738,93 @@ def test_child_seeds_match_numpy(seed):
     np.testing.assert_array_equal(derived, expected)
 
 
-@pytest.mark.parametrize("r, replicates, seed", [(4, 2100, 2**64 - 1), (60, 1030, 7)])
-def test_resample_matches_the_spawn_loop(r, replicates, seed):
-    # 2100 and 1030 replicates cross seed blocks; at r = 60 a chunk holds 18 tables
+def random_probs(r):
     p = np.random.default_rng(r).random((r, r))
-    p /= p.sum()
-    n = 20 * r * r
+    return p / p.sum()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize(
+    "r, n, replicates, seed, chunk_cells",
+    [
+        (4, 320, 2100, 2**64 - 1, None),
+        (30, 100, 150, 3, None),
+        (60, 72_000, 1030, 7, None),
+        (30, 100, 7, 5, 2 * 30 * 30),  # two tables a chunk, fewer than three CPUs
+    ],
+)
+def test_resample_matches_the_spawn_loop(monkeypatch, r, n, replicates, seed, chunk_cells, cpus):
+    # 2100 and 1030 replicates cross seed blocks; a chunk holds 72 tables at r = 30 and
+    # 18 at r = 60, whose rows are split across the CPUs: the draws must not depend on it
+    monkeypatch.setattr(inference, "_cpus", lambda: cpus)
+    if chunk_cells:
+        monkeypatch.setattr(inference, "_CHUNK_CELLS", chunk_cells)
+    p = random_probs(r)
     draws = np.concatenate(list(inference._resample(p, n, replicates, seed)))
     assert draws.dtype == np.int64
     np.testing.assert_array_equal(draws.reshape(replicates, r * r), spawn_loop(p, n, replicates, seed))
+
+
+def thread_starts(monkeypatch):
+    """A list that grows by one each time a thread is started."""
+    starts, start = [], threading.Thread.start
+
+    def spy(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return starts
+
+
+def test_small_tables_draw_on_the_calling_thread(monkeypatch):
+    # below _SPLIT_CELLS a thread costs more than it saves, whatever the CPU count
+    monkeypatch.setattr(inference, "_cpus", lambda: 3)
+    starts = thread_starts(monkeypatch)
+    list(inference._resample(random_probs(4), 119, 2100, 0))
+    assert starts == []
+    list(inference._resample(random_probs(30), 100, 150, 0))  # chunks of 72, 72 and 6 tables
+    assert len(starts) == 3 * 2
+
+
+class TestNoThreadOutlivesADraw:
+    """Every thread a split chunk starts is joined before the chunk is yielded."""
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(inference, "_cpus", lambda: 3)
+        self.starts = thread_starts(monkeypatch)
+        self.before = threading.active_count()
+        yield
+        assert threading.active_count() == self.before
+
+    def test_a_threaded_bootstrap(self):
+        table = CountTable(np.random.default_rng(60).multinomial(180_000, random_probs(60).ravel())
+                           .reshape(60, 60))
+        bootstrap_ci(table, replicates=216, seed=3)
+        assert len(self.starts) == 12 * 2  # 12 chunks of 18 tables, each on three threads
+
+    def test_a_sampler_closed_after_its_first_chunk(self):
+        stream = inference._resample(random_probs(60), 1000, 1000, 0)
+        assert len(next(stream)) == 18
+        assert threading.active_count() == self.before
+        stream.close()
+        assert len(self.starts) == 2
+
+    def test_a_draw_that_fails_on_a_worker(self, monkeypatch):
+        # replicate 17, the last row of the first chunk, is drawn by the third thread
+        failing = inference._child_seeds(0, [17])[0]
+
+        class FailingWords(inference._SeedWords):
+            def generate_state(self, n_words, dtype=np.uint32):
+                if np.array_equal(self.words, failing):
+                    raise ValueError("replicate 17 failed")
+                return super().generate_state(n_words, dtype)
+
+        monkeypatch.setattr(inference, "_SeedWords", FailingWords)
+        with pytest.raises(ValueError, match="replicate 17 failed"):
+            list(inference._resample(random_probs(60), 1000, 100, 0))
+        assert len(self.starts) == 2
 
 
 @pytest.mark.parametrize(
