@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -399,31 +400,26 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _draw(rows: np.ndarray, seeds: np.ndarray, n: int, flat: np.ndarray) -> None:
-    """Fill each row with a draw from its own replicate's generator."""
-    for row, words in zip(rows, seeds):
-        row[:] = np.random.Generator(np.random.PCG64(_SeedWords(words))).multinomial(n, flat)
-
-
-def _draw_split(rows: np.ndarray, seeds: np.ndarray, n: int, flat: np.ndarray, k: int) -> None:
-    """:func:`_draw` over k contiguous row ranges: this thread draws the first and
-    one new thread each of the others.  Every thread is joined before this returns,
-    and the error of the first range that failed is raised here."""
-    import threading
-
-    edges = [len(rows) * i // k for i in range(k + 1)]
+def _draw(rows: np.ndarray, seeds: np.ndarray, n: int, flat: np.ndarray, k: int) -> None:
+    """Fill each row with a draw from its own replicate's generator, on k threads:
+    thread i draws rows i, i + k, ...; thread 0 is this one, the others new.  Every
+    thread started is joined before this returns, even when a start fails, and
+    then the first failing thread's error is raised."""
     errors = [None] * k
 
     def work(i: int) -> None:
         try:
-            _draw(rows[edges[i]:edges[i + 1]], seeds[edges[i]:edges[i + 1]], n, flat)
+            for row, words in zip(rows[i::k], seeds[i::k]):
+                row[:] = np.random.Generator(np.random.PCG64(_SeedWords(words))).multinomial(n, flat)
         except BaseException as exc:  # raised on the calling thread below
             errors[i] = exc
 
-    workers = [threading.Thread(target=work, args=(i,)) for i in range(1, k)]
-    for worker in workers:
-        worker.start()
+    workers = []
     try:
+        for i in range(1, k):
+            worker = threading.Thread(target=work, args=(i,))
+            worker.start()
+            workers.append(worker)
         work(0)
     finally:
         for worker in workers:
@@ -435,7 +431,8 @@ def _draw_split(rows: np.ndarray, seeds: np.ndarray, n: int, flat: np.ndarray, k
 
 def _resample(p: np.ndarray, n: int, replicates: int, seed: int):
     """Multinomial tables of size n over the cells p, as (b, r, r) count stacks,
-    one per :func:`_chunks` span.
+    one per :func:`_chunks` span: the replicate stream of the bootstrap and of
+    the coverage study.
 
     Replicate k draws from the generator that ``default_rng`` builds from the
     k-th child spawned by ``SeedSequence(seed)``.  Each chunk derives its
@@ -444,11 +441,15 @@ def _resample(p: np.ndarray, n: int, replicates: int, seed: int):
     SeedSequence, and seeds PCG64 from the words, so the stream is the same,
     draw for draw, without building a child.
 
-    A table of at least ``_SPLIT_CELLS`` cells has each chunk's rows drawn on
-    up to one thread per CPU (:func:`_draw_split`), started after the chunk's
-    seeds are derived and checked and joined before it is yielded.  The stream
-    cannot depend on the thread count: each row still draws from its own
-    replicate's generator and is written to its own place.
+    A chunk holds at most 2^16 cells and at most 1024 tables, but at least one
+    table, so the working memory is set by the chunk, not by the replicate
+    count.  Once its seeds are checked, a chunk of tables of 900 cells or more
+    (r >= 30) is drawn by :func:`_draw` on min(CPUs, tables in the chunk)
+    threads, as numpy releases the GIL inside a multinomial draw, and every
+    thread is joined before the chunk is yielded.  A split needs two tables in
+    a chunk, so from r = 182 on, one table a chunk, every draw runs on the
+    calling thread.  The stream cannot depend on the thread count: each row
+    still draws from its own replicate's generator into its own place.
     """
     # numpy.random loads here, not with this module: delta-method runs never draw
     from numpy.random.bit_generator import ISeedSequence
@@ -467,11 +468,7 @@ def _resample(p: np.ndarray, n: int, replicates: int, seed: int):
                     "from numpy's SeedSequence; this numpy changed its seeding"
                 )
         draws = np.empty((hi - lo, r * r), dtype=np.int64)
-        threads = min(cpus, hi - lo)
-        if threads > 1:
-            _draw_split(draws, seeds, n, flat, threads)
-        else:
-            _draw(draws, seeds, n, flat)
+        _draw(draws, seeds, n, flat, min(cpus, hi - lo))
         yield draws.reshape(-1, r, r)
 
 
@@ -574,11 +571,10 @@ def bootstrap_ci(
     Deterministic for a fixed seed: replicate k draws from the generator ``default_rng``
     builds from the k-th child spawned by ``SeedSequence(seed)`` (the stream of
     :func:`_resample`), and aggregation (counts plus sorted percentile extraction) does not
-    depend on evaluation order.  Replicates are drawn and evaluated in :func:`_chunks`;
-    beyond the chunk, the bootstrap keeps one float64 per replicate, the values it sorts.
-    A table of 900 cells or more (r >= 30) has each chunk's rows drawn on up to one
-    thread per CPU; every row still draws from its own generator into its own place,
-    so the interval is the same to the bit whatever the CPU count.
+    depend on evaluation order.  Replicates are drawn and evaluated in the chunks, and on
+    the threads, that :func:`_resample` states, so the interval is the same to the bit
+    whatever the CPU count; beyond the chunk, the bootstrap keeps one float64 per
+    replicate, the values it sorts.
 
     Raises
     ------

@@ -5,10 +5,9 @@ A coverage study draws tables from a shift-model population
 :mod:`margshift.inference`'s one delta-method rule, the same one
 :func:`~margshift.inference.wald_ci` uses, and reports the fraction of
 intervals containing the true phi.  Replicates are independent units of
-work: replicate k draws from the generator ``default_rng`` builds from the
-k-th child spawned by ``SeedSequence(seed)``, seeded from the child's words,
-and the aggregation (hit counts, width totals) is order-insensitive, so
-results are reproducible for a fixed seed regardless of evaluation order.
+work, drawn from one generator each (the stream ``inference._resample``
+states), and the aggregation (hit counts, width totals) is order-insensitive,
+so results are reproducible for a fixed seed regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -117,12 +116,8 @@ def coverage_study(spec: CoverageStudySpec) -> CoverageResult:
     The truth is the scenario's closed-form phi; each replicate samples a
     table from the scenario population and asks whether its interval
     contains the truth.  Replicates are drawn and evaluated by the
-    bootstrap's sampler (``inference._resample``, which states the stream:
-    one spawned generator per replicate) in chunks of at most 2^16 cells and
-    at most 1024 tables, so the working memory is set by the chunk, not by
-    the replicate count.  Tables of 900 cells or more have a chunk's rows drawn
-    on up to one thread per CPU, each from its own generator into its own place,
-    so the result cannot depend on the CPU count.
+    bootstrap's sampler, ``inference._resample``, which states the stream,
+    its chunks and its threads; the result cannot depend on the CPU count.
     """
     spec = _record(spec, CoverageStudySpec, "spec")
     truth = scenario_table(spec.scenario)

@@ -783,8 +783,24 @@ def test_small_tables_draw_on_the_calling_thread(monkeypatch):
     starts = thread_starts(monkeypatch)
     list(inference._resample(random_probs(4), 119, 2100, 0))
     assert starts == []
+    # from r = 182 on a chunk holds one table, and a split needs two
+    list(inference._resample(random_probs(182), 10, 3, 0))
+    assert starts == []
     list(inference._resample(random_probs(30), 100, 150, 0))  # chunks of 72, 72 and 6 tables
     assert len(starts) == 3 * 2
+
+
+def fail_replicate(monkeypatch, k):
+    """Make replicate k of seed 0 raise ValueError when its generator is seeded."""
+    failing = inference._child_seeds(0, [k])[0]
+
+    class FailingWords(inference._SeedWords):
+        def generate_state(self, n_words, dtype=np.uint32):
+            if np.array_equal(self.words, failing):
+                raise ValueError(f"replicate {k} failed")
+            return super().generate_state(n_words, dtype)
+
+    monkeypatch.setattr(inference, "_SeedWords", FailingWords)
 
 
 class TestNoThreadOutlivesADraw:
@@ -813,18 +829,37 @@ class TestNoThreadOutlivesADraw:
 
     def test_a_draw_that_fails_on_a_worker(self, monkeypatch):
         # replicate 17, the last row of the first chunk, is drawn by the third thread
-        failing = inference._child_seeds(0, [17])[0]
-
-        class FailingWords(inference._SeedWords):
-            def generate_state(self, n_words, dtype=np.uint32):
-                if np.array_equal(self.words, failing):
-                    raise ValueError("replicate 17 failed")
-                return super().generate_state(n_words, dtype)
-
-        monkeypatch.setattr(inference, "_SeedWords", FailingWords)
+        fail_replicate(monkeypatch, 17)
         with pytest.raises(ValueError, match="replicate 17 failed"):
             list(inference._resample(random_probs(60), 1000, 100, 0))
         assert len(self.starts) == 2
+
+    def test_a_draw_that_fails_on_the_calling_thread(self, monkeypatch):
+        # an r = 4 chunk is drawn on the calling thread alone
+        fail_replicate(monkeypatch, 17)
+        with pytest.raises(ValueError, match="replicate 17 failed"):
+            list(inference._resample(random_probs(4), 1000, 100, 0))
+        assert self.starts == []
+
+    def test_a_thread_that_fails_to_start(self, monkeypatch):
+        # thread exhaustion, simulated: the second start of a chunk's split raises
+        start, join, joined = threading.Thread.start, threading.Thread.join, []
+
+        def start_once(thread):
+            if self.starts:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        def spy_join(thread, timeout=None):
+            joined.append(thread)
+            join(thread, timeout)
+
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        monkeypatch.setattr(threading.Thread, "join", spy_join)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            list(inference._resample(random_probs(60), 1000, 60, 0))
+        assert len(self.starts) == 1
+        assert joined == self.starts
 
 
 @pytest.mark.parametrize(
