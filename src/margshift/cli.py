@@ -106,12 +106,12 @@ def _is_word(tok: str) -> bool:
     return tok != "" and not tok.lstrip("+-").isdigit()
 
 
-def _read(path: str, error: type[Exception]) -> bytes:
-    """The bytes of a file, or ``error`` naming the file."""
+def _read(path: str) -> bytes:
+    """The bytes of an input file, or a usage error naming the file."""
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        raise error(f"{path}: {exc.strerror or exc}") from exc
+        raise _UsageError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _decode(path: str, data: bytes, error: type[Exception]) -> str:
@@ -124,17 +124,14 @@ def _decode(path: str, data: bytes, error: type[Exception]) -> str:
         raise error(f"{path}: byte {exc.start}: not UTF-8 text ({exc.reason})") from exc
 
 
-def parse_table_csv(path: str, data: bytes | None = None) -> CountTable:
+def parse_table_csv(path: str, data: bytes) -> CountTable:
     """Parse a CSV count table, auto-detecting header and label column.
 
-    ``data`` is the file's bytes, read from ``path`` when not given.  Raises
-    :class:`TableParseError` with file/line/column positions on any
-    malformed content, and refuses non-square numeric blocks instead of
-    guessing what was meant.
+    ``data`` is the file's bytes, read by :func:`main`; ``path`` only names the file in
+    messages.  Raises :class:`TableParseError` with file/line/column positions on any
+    malformed content, and refuses non-square numeric blocks instead of guessing.
     """
-    data = _read(path, TableParseError) if data is None else data
-    text = _decode(path, data, TableParseError)
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(_decode(path, data, TableParseError), newline=""))
     # each row keeps its own line number: blank rows are dropped below
     numbered = [(reader.line_num, [cell.strip() for cell in row]) for row in reader]
     numbered = [(line, row) for line, row in numbered if any(cell != "" for cell in row)]
@@ -155,7 +152,7 @@ def parse_table_csv(path: str, data: bytes | None = None) -> CountTable:
         line, row = body[0]
         raise TableParseError(f"{path}:{line}: row {row[0]!r} holds no counts after its label")
 
-    data = []
+    counts = []
     for line, row in body:
         if len(row) - start != width:
             raise TableParseError(
@@ -178,17 +175,17 @@ def parse_table_csv(path: str, data: bytes | None = None) -> CountTable:
                     f"{path}:{line}: column {col}: count {value} exceeds 2^63 - 1"
                 )
             vals.append(value)
-        data.append(vals)
+        counts.append(vals)
 
-    if len(data) != width:
+    if len(counts) != width:
         raise TableParseError(
-            f"{path}: numeric block is {len(data)} x {width} after detecting "
+            f"{path}: numeric block is {len(counts)} x {width} after detecting "
             f"header={'yes' if has_header else 'no'}, "
             f"row labels={'yes' if has_labels else 'no'}; "
             "a square table is required and this file is ambiguous"
         )
     try:
-        return CountTable(np.array(data, dtype=np.int64))
+        return CountTable(np.array(counts, dtype=np.int64))
     except (ShapeError, ZeroTotalError, DomainError) as exc:
         raise TableParseError(f"{path}: {exc}") from exc
 
@@ -550,7 +547,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         # each input is read once, before any is parsed; the report hashes these bytes
-        inputs = {dest: (path, _read(path, _UsageError)) for dest, path in _check_outputs(args)}
+        inputs = {dest: (path, _read(path)) for dest, path in _check_outputs(args)}
         if "config" in inputs:
             args = _build_parser(_parse_config(*inputs["config"])).parse_args(argv)
         lines, seed, results = args.func(args, inputs)

@@ -25,8 +25,8 @@ survivals are written as tail sums: coordinates can be perturbed without
 renormalizing onto the simplex, and adding a multiple of the all-ones vector
 to a gradient never changes the quadratic form (xi annihilates constants).
 
-A nonparametric multinomial bootstrap (:func:`bootstrap_ci`) provides an
-independent percentile interval for cross-checking the delta method.
+A nonparametric multinomial bootstrap (:func:`bootstrap_ci`) gives a percentile
+interval that checks the delta method independently: it never evaluates the gradient.
 """
 
 from __future__ import annotations
@@ -91,8 +91,12 @@ _SEED_BLOCK = 1024
 # Tables of at least this many cells have a chunk's rows drawn on up to one
 # thread per CPU: numpy releases the GIL inside a multinomial draw.  Two threads
 # against one on a 2-CPU host: r <= 10 ran 0.53-0.93x at every n; r = 12-24 lost
-# at n = 100 (r = 20: 0.83x, r = 24: 0.93x) and won only at n = 50 r^2 (1.5x);
-# r >= 30 won 1.30-1.60x at every n.  So the crossover is r = 30, 900 cells.
+# at n = 100 (r = 20: 0.83x, r = 24: 0.93x) and won only at n = 50 r^2 (1.5x).
+# From r = 30 it depends on how the mass is spread.  Spread-out tables (bench's
+# wide population) won: r = 30 n = 100 1.25x, r = 60 n = 100 1.09x, r = 60
+# n = 180000 1.40x.  Concentrated tables, the shift-model tables simulate builds,
+# lost at n = 100: r = 30 0.66x, r = 60 0.70x.  The crossover for spread-out
+# tables is r = 30, 900 cells; ROADMAP item 12 replaces this split.
 _SPLIT_CELLS = 900
 
 # numpy's SeedSequence hash constants (see _child_seeds)
@@ -562,11 +566,12 @@ def bootstrap_ci(
 ) -> EstimateReport:
     """Nonparametric multinomial bootstrap percentile interval.
 
-    Replicates are multinomial redraws of size n from the observed cell frequencies.
-    Replicates where the measure is degenerate are counted and excluded.  The endpoints
-    are the alpha/2 and 1 - alpha/2 percentiles of the sorted kept replicates by numpy's
-    'linear' rule: with v = (m - 1) q over m kept values, the values at floor(v) and
-    floor(v) + 1 interpolated at the fraction of v (see :func:`_percentile`).
+    Replicates are multinomial redraws of size n from the observed cell frequencies, whose
+    measure is the estimate: no delta-method gradient is evaluated.  Degenerate replicates
+    are counted and excluded.  The endpoints are the alpha/2 and 1 - alpha/2 percentiles of
+    the sorted kept replicates by numpy's 'linear' rule: with v = (m - 1) q over m kept
+    values, the values at floor(v) and floor(v) + 1 interpolated at the fraction of v (see
+    :func:`_percentile`).
 
     Deterministic for a fixed seed: replicate k draws from the generator ``default_rng``
     builds from the k-th child spawned by ``SeedSequence(seed)`` (the stream of
@@ -587,10 +592,13 @@ def bootstrap_ci(
     measure, lam = _check_measure(measure, lam)
     replicates = _integer(replicates, "replicates", 200, _MAX_REPLICATES)
     seed = _integer(seed, "seed", 0)
-    estimate = _scalar(_delta(table.counts, measure, lam)[0], measure)  # refused before any draw
+    p = from_counts(table).p
+    # the measure of p, as _checked_grad scores a probability table; refused before any draw
+    terms = _terms(p.sum(axis=-1), p.sum(axis=-2))
+    estimate = _scalar(_value(terms.w1, terms.w2, measure, lam), measure)
 
     values, done = np.empty(replicates), 0
-    for counts in _resample(from_counts(table).p, table.n, replicates, seed):
+    for counts in _resample(p, table.n, replicates, seed):
         _, _, terms = _table_terms(counts)
         done += len(counts)
         values[done - len(counts):done] = _value(terms.w1, terms.w2, measure, lam)

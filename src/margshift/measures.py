@@ -166,7 +166,7 @@ def _terms(row: np.ndarray, col: np.ndarray) -> _Terms:
 def _table_terms(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Terms]:
     """Cell probabilities, totals (..., 1, 1) and W chain of count tables (..., r, r).
 
-    Unchecked: callers pass a CountTable's counts (wald_ci, bootstrap_ci) or
+    Unchecked: callers pass a CountTable's counts (wald_ci) or
     Generator.multinomial draws (bootstrap_ci, coverage_study), valid by
     construction.  p = counts / total sums to 1 within a few ulps before it is
     renormalized as a ProbTable is; the tail sums keep each hazard in [0, 1].

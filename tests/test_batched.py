@@ -535,6 +535,27 @@ def test_every_delta_method_route_refuses_for_the_same_first_reason(kind, measur
                 assert ref is not None and ref[0] is wald[0], (table.shape, k, ref, wald)
 
 
+@pytest.mark.parametrize("measure, lam", [("phi", None), ("psi", 1.0)])
+def test_the_bootstrap_estimate_is_the_delta_method_estimate_bit_for_bit(
+    measure, lam, active_table, placebo_table, monkeypatch
+):
+    # the estimate comes from the observed table alone, so the draws are stubbed:
+    # a uniform 2 x 2 stack keeps every replicate defined at any table size
+    monkeypatch.setattr(inference, "_resample",
+                        lambda p, n, replicates, seed: [np.ones((replicates, 2, 2), np.int64)])
+    tables = [active_table, placebo_table]
+    for kind in KERNEL_KINDS:
+        tables += [CountTable(t) for counts in kernel_stacks(kind) for t in counts]
+    compared = 0
+    for table in tables:
+        if refusal(wald_ci, table, measure=measure, lam=lam) is not None:
+            continue
+        boot = bootstrap_ci(table, replicates=200, measure=measure, lam=lam).ci.estimate
+        assert boot == wald_ci(table, measure=measure, lam=lam).ci.estimate, table.counts.shape
+        compared += 1
+    assert compared >= 100
+
+
 @pytest.mark.parametrize("measure, lam", [("phi", None), ("psi", 1.0), ("psi", 0.0)])
 def test_margin_steps_match_the_cell_stepped_reference(measure, lam):
     compared = 0

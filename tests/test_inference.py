@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from statistics import NormalDist
 
@@ -405,6 +406,18 @@ class TestBootstrapCI:
         monkeypatch.setattr(inference, "_resample", no_draw)
         with pytest.raises(DegenerateMassError, match="phi is undefined"):
             bootstrap_ci(CountTable([[50, 0], [0, 0]]), replicates=300, seed=0)
+
+    def test_the_bootstrap_never_runs_the_delta_method(self, active_table, monkeypatch):
+        # the interval it cross-checks must not share its gradient or variance
+        calls = Counter()
+        for name in ("_delta", "_grad", "_cells", "_variance"):
+            def counted(*args, _name=name, _fn=getattr(inference, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(inference, name, counted)
+        bootstrap_ci(active_table, replicates=200, seed=0)
+        assert calls == Counter()
 
     def test_needs_neither_numpy_ma_nor_statistics(self):
         # np.percentile would import numpy.ma (through np.unique); a one-shot
